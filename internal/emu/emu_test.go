@@ -54,7 +54,8 @@ func execOne(t *testing.T, in isa.Inst, setup func(*Machine)) (*Machine, Outcome
 	if setup != nil {
 		setup(m)
 	}
-	out, err := Exec(m, m.PC, in)
+	var out Outcome
+	err := Exec(m, m.PC, &in, &out)
 	if err != nil {
 		t.Fatalf("exec %s: %v", in, err)
 	}
@@ -171,10 +172,12 @@ func TestLoadsStores(t *testing.T) {
 func TestMisalignedAccess(t *testing.T) {
 	m := NewMachine()
 	m.Regs[isa.T1] = 0x2001
-	if _, err := Exec(m, 0, isa.Mem(isa.OpLW, isa.T0, isa.T1, 0)); err == nil {
+	lw, sh := isa.Mem(isa.OpLW, isa.T0, isa.T1, 0), isa.Mem(isa.OpSH, isa.T0, isa.T1, 0)
+	var out Outcome
+	if err := Exec(m, 0, &lw, &out); err == nil {
 		t.Error("misaligned lw should error")
 	}
-	if _, err := Exec(m, 0, isa.Mem(isa.OpSH, isa.T0, isa.T1, 0)); err == nil {
+	if err := Exec(m, 0, &sh, &out); err == nil {
 		t.Error("misaligned sh should error")
 	}
 }
@@ -240,14 +243,16 @@ func TestSyscallOutcomes(t *testing.T) {
 	}
 	m := NewMachine()
 	m.Regs[isa.V0] = 99
-	if _, err := Exec(m, 0, isa.Syscall()); err == nil {
+	sc := isa.Syscall()
+	if err := Exec(m, 0, &sc, new(Outcome)); err == nil {
 		t.Error("unknown syscall should error")
 	}
 }
 
 func TestInvalidInstruction(t *testing.T) {
 	m := NewMachine()
-	if _, err := Exec(m, 0, isa.Decode(0xFFFFFFFF)); err == nil {
+	bad := isa.Decode(0xFFFFFFFF)
+	if err := Exec(m, 0, &bad, new(Outcome)); err == nil {
 		t.Error("invalid word should error")
 	}
 }

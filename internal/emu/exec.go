@@ -50,12 +50,18 @@ type Outcome struct {
 	SyscallArg uint32
 }
 
-// Exec executes one instruction located at pc against s and returns its
-// outcome. It performs register and memory side effects on s but does NOT
-// perform syscall side effects (printing, halting); those are reported in
-// the Outcome so the caller can apply them only on the architectural path.
-func Exec(s State, pc uint32, in isa.Inst) (Outcome, error) {
-	out := Outcome{NextPC: pc + isa.WordBytes, Dest: -1}
+// Exec executes one instruction located at pc against s and stores its
+// outcome in *out. It performs register and memory side effects on s but
+// does NOT perform syscall side effects (printing, halting); those are
+// reported in the Outcome so the caller can apply them only on the
+// architectural path. *out is filled even when an error is returned.
+//
+// Instruction and outcome travel by pointer: both are structs of
+// mixed-width fields (20 and 52 bytes), and passing them by value stages
+// each through stack copies whose wide loads stall on store forwarding —
+// a measurable cost on the pipeline's per-instruction dispatch path.
+func Exec(s State, pc uint32, in *isa.Inst, out *Outcome) error {
+	*out = Outcome{NextPC: pc + isa.WordBytes, Dest: -1}
 	rs := s.ReadReg(int(in.Rs))
 	rt := s.ReadReg(int(in.Rt))
 
@@ -143,13 +149,13 @@ func Exec(s State, pc uint32, in isa.Inst) (Outcome, error) {
 		switch in.Op {
 		case isa.OpLW:
 			if addr&3 != 0 {
-				return out, fmt.Errorf("%w: lw @%#x", ErrMisaligned, addr)
+				return fmt.Errorf("%w: lw @%#x", ErrMisaligned, addr)
 			}
 			out.Size = 4
 			v = s.ReadMem32(addr)
 		case isa.OpLH, isa.OpLHU:
 			if addr&1 != 0 {
-				return out, fmt.Errorf("%w: lh @%#x", ErrMisaligned, addr)
+				return fmt.Errorf("%w: lh @%#x", ErrMisaligned, addr)
 			}
 			out.Size = 2
 			h := s.ReadMem16(addr)
@@ -175,13 +181,13 @@ func Exec(s State, pc uint32, in isa.Inst) (Outcome, error) {
 		switch in.Op {
 		case isa.OpSW:
 			if addr&3 != 0 {
-				return out, fmt.Errorf("%w: sw @%#x", ErrMisaligned, addr)
+				return fmt.Errorf("%w: sw @%#x", ErrMisaligned, addr)
 			}
 			out.Size = 4
 			s.WriteMem32(addr, rt)
 		case isa.OpSH:
 			if addr&1 != 0 {
-				return out, fmt.Errorf("%w: sh @%#x", ErrMisaligned, addr)
+				return fmt.Errorf("%w: sh @%#x", ErrMisaligned, addr)
 			}
 			out.Size = 2
 			s.WriteMem16(addr, uint16(rt))
@@ -229,13 +235,13 @@ func Exec(s State, pc uint32, in isa.Inst) (Outcome, error) {
 		case SysExit, SysPutInt, SysPutChar:
 			out.Syscall, out.SyscallArg = code, arg
 		default:
-			return out, fmt.Errorf("%w: v0=%d", ErrBadSyscall, code)
+			return fmt.Errorf("%w: v0=%d", ErrBadSyscall, code)
 		}
 
 	default:
-		return out, fmt.Errorf("%w: %#08x", ErrInvalidInst, in.Raw)
+		return fmt.Errorf("%w: %#08x", ErrInvalidInst, in.Raw)
 	}
-	return out, nil
+	return nil
 }
 
 func boolTo32(b bool) uint32 {

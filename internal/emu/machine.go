@@ -150,19 +150,23 @@ func (m *Machine) FetchInst(pc uint32) isa.Inst {
 	return isa.Decode(m.Mem.Read32(pc))
 }
 
-// FetchInstClass is FetchInst plus the instruction's class, served from the
-// plane's precomputed class table on a hit so fetch classifies in two table
-// loads instead of re-deriving the class per instruction.
-func (m *Machine) FetchInstClass(pc uint32) (isa.Inst, isa.Class) {
+// FetchInstClass is FetchInst storing the instruction through dst and
+// returning its class, served from the plane's precomputed class table on
+// a hit so fetch classifies in two table loads instead of re-deriving the
+// class per instruction. The instruction is copied straight from the plane
+// into dst: returned by value, the 20-byte isa.Inst would be staged
+// through stack copies on the pipeline's per-instruction fetch path.
+func (m *Machine) FetchInstClass(pc uint32, dst *isa.Inst) isa.Class {
 	if m.plane != nil && !m.Mem.codeDirty {
 		if in, cl, ok := m.plane.LookupClass(pc); ok {
 			m.PredecodeHits++
-			return in, cl
+			*dst = *in
+			return cl
 		}
 	}
 	m.PredecodeFallbacks++
-	in := isa.Decode(m.Mem.Read32(pc))
-	return in, in.Class()
+	*dst = isa.Decode(m.Mem.Read32(pc))
+	return dst.Class()
 }
 
 // ApplySyscall performs the architectural side effects of a syscall
@@ -217,7 +221,8 @@ func (m *Machine) Step() (isa.Inst, Outcome, error) {
 		return isa.Inst{}, Outcome{}, fmt.Errorf("emu: step after halt")
 	}
 	in := m.FetchInst(m.PC)
-	out, err := Exec(m, m.PC, in)
+	var out Outcome
+	err := Exec(m, m.PC, &in, &out)
 	if err != nil {
 		return in, out, fmt.Errorf("emu: at pc=%#x (%s): %w", m.PC, in.Disasm(m.PC), err)
 	}

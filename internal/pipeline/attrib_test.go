@@ -370,7 +370,7 @@ func TestMultiTracer(t *testing.T) {
 }
 
 func TestTraceFlagsAndAux(t *testing.T) {
-	if (FlagRASPop | FlagUnderflow).String() != "ras-pop,underflow" &&
+	if (FlagRASPop|FlagUnderflow).String() != "ras-pop,underflow" &&
 		(FlagRASPop|FlagUnderflow).String() != "underflow,ras-pop" {
 		t.Errorf("flag string: %q", (FlagRASPop | FlagUnderflow).String())
 	}

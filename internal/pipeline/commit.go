@@ -22,13 +22,16 @@ func (s *Sim) commitStage() {
 			break
 		}
 		e := &s.ruu[s.ruuHead]
+		if e.flags.has(flStore) {
+			s.stores.del(s.ruuHead)
+		}
 		if st&ruuSquashed == 0 {
 			s.retire(e)
-			s.emit(TraceCommit, e.seq, e.pathTok, e.pc, e.inst, 0)
+			s.emit(TraceCommit, e.seq, e.pathTok, e.pc, &e.inst, 0)
 		}
 		s.releaseCheckpoint(e)
-		if e.lsqHeld {
-			e.lsqHeld = false
+		if e.flags.has(flLSQHeld) {
+			e.flags &^= flLSQHeld
 			s.lsqCount--
 		}
 		s.ruuState[s.ruuHead] = 0
@@ -47,15 +50,17 @@ func (s *Sim) commitStage() {
 // instruction.
 func (s *Sim) retire(e *ruuEntry) {
 	th := s.threads[0]
-	if p := s.pathByToken(e.pathTok); p != nil {
-		th = s.threadOf(p)
+	if len(s.threads) > 1 {
+		if p := s.pathByToken(e.pathTok); p != nil {
+			th = s.threadOf(p)
+		}
 	}
 	s.stats.Committed++
 	s.stats.PerThreadCommitted[th.id]++
 	s.stats.CommittedByClass[e.class]++
 	th.mach.NoteRetiredClass(e.class)
 
-	if e.isStore {
+	if e.flags.has(flStore) {
 		// The value was written to architectural memory at dispatch; the
 		// cache sees the store now, at commit (write-buffer model).
 		s.hier.L1D.Access(e.memAddr, true)
@@ -63,29 +68,30 @@ func (s *Sim) retire(e *ruuEntry) {
 
 	switch e.class {
 	case isa.ClassCondBranch:
+		taken := e.flags.has(flActualTaken)
 		s.stats.CondBranches++
 		if s.cfg.SpecHistory {
 			// Fetch owns the history registers; commit trains the counters
 			// the fetch-time prediction indexed.
-			s.hybrid.TrainAt(e.pc, e.histSnap, e.actualTaken)
+			s.hybrid.TrainAt(e.pc, e.histSnap, taken)
 		} else {
-			s.dirPred.Update(e.pc, e.actualTaken)
+			s.dirPred.Update(e.pc, taken)
 		}
-		s.conf.Update(e.pc, e.predTaken == e.actualTaken)
-		if e.forked {
+		s.conf.Update(e.pc, e.flags.has(flPredTaken) == taken)
+		if e.flags.has(flForked) {
 			s.stats.ForkedBranches++
-		} else if e.mispred {
+		} else if e.flags.has(flMispred) {
 			s.stats.CondMispred++
 		}
-		if e.actualTaken {
+		if taken {
 			s.updateBTB(e)
 		}
 	case isa.ClassReturn:
 		s.stats.Returns++
-		if !e.mispred {
+		if !e.flags.has(flMispred) {
 			s.stats.ReturnsCorrect++
 		}
-		if e.fromRAS {
+		if e.flags.has(flFromRAS) {
 			s.stats.ReturnsFromRAS++
 		}
 		s.updateBTB(e)
@@ -94,7 +100,7 @@ func (s *Sim) retire(e *ruuEntry) {
 		}
 	case isa.ClassIndirect, isa.ClassIndirectCall:
 		s.stats.Indirects++
-		if !e.mispred {
+		if !e.flags.has(flMispred) {
 			s.stats.IndirectsCorrect++
 		}
 		s.updateBTB(e)

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"retstack/internal/config"
 	"retstack/internal/core"
+	"retstack/internal/emu"
 	"retstack/internal/isa"
 )
 
@@ -17,9 +18,18 @@ func (s *Sim) fetchStage() {
 	if s.liveCount == 0 {
 		return
 	}
-	start := int(s.cycle) % len(s.paths)
-	for off := 0; off < len(s.paths) && budget > 0; off++ {
-		p := &s.paths[(start+off)%len(s.paths)]
+	next := 0
+	if len(s.paths) > 1 {
+		next = int(s.cycle % uint64(len(s.paths)))
+	}
+	for range s.paths {
+		if budget == 0 {
+			return
+		}
+		p := &s.paths[next]
+		if next++; next == len(s.paths) {
+			next = 0
+		}
 		if !p.live || p.fetchDead || p.stalledUntil > s.cycle {
 			continue
 		}
@@ -71,69 +81,24 @@ func (s *Sim) fetchPath(p *path, budget int) int {
 			if toLine := int((lineBytes - pc%lineBytes) / isa.WordBytes); take > toLine {
 				take = toLine
 			}
-			s.emitA(TraceBlock, s.nextSeq+1, p.token, pc, isa.Inst{},
+			s.emitA(TraceBlock, s.nextSeq+1, p.token, pc, &noInst,
 				uint32(take), uint32(body), 0)
 			for i := 0; i < take; i++ {
-				in, cl := mach.FetchInstClass(pc)
+				slot := s.fetchInto(p, mach, pc)
 				budget--
-				s.stats.Fetched++
-				s.nextSeq++
-				tail := s.fetchQHead + s.fetchQLen
-				if tail >= len(s.fetchQ) {
-					tail -= len(s.fetchQ)
-				}
-				slot := &s.fetchQ[tail]
-				*slot = fetchSlot{
-					seq:     s.nextSeq,
-					pathTok: p.token,
-					pc:      pc,
-					inst:    in,
-					class:   cl,
-					readyAt: s.cycle + uint64(s.cfg.BranchLat),
-					predNPC: pc + isa.WordBytes,
-				}
 				s.fetchQLen++
-				s.emit(TraceFetch, slot.seq, p.token, pc, in, slot.predNPC)
+				s.emit(TraceFetch, slot.seq, p.token, pc, &slot.inst, slot.predNPC)
 				pc += isa.WordBytes
 			}
 			p.fetchPC = pc
 			continue
 		}
 
-		// Fetch through the predecode plane: two table loads (instruction
-		// and precomputed class) for in-segment PCs, Read32+Decode+classify
-		// otherwise (identical result, see FetchInstClass).
-		in, cl := s.threadOf(p).mach.FetchInstClass(pc)
+		slot := s.fetchInto(p, s.threadOf(p).mach, pc)
 		budget--
-		s.stats.Fetched++
-		s.nextSeq++
-
-		// Build the slot directly in its ring position. Writing a local
-		// fetchSlot first and copying it in would make the local escape to
-		// the heap (predictControl passes &slot.checkpoint through the
-		// core.ReturnStack interface) — one allocation per fetched
-		// instruction, the simulator's dominant allocation site. Checkpoint
-		// buffers are pooled centrally (cpFree), so the slot starts with an
-		// empty checkpoint; takeCheckpoint borrows a recycled buffer when it
-		// needs one.
-		tail := s.fetchQHead + s.fetchQLen
-		if tail >= len(s.fetchQ) {
-			tail -= len(s.fetchQ)
-		}
-		slot := &s.fetchQ[tail]
-		*slot = fetchSlot{
-			seq:     s.nextSeq,
-			pathTok: p.token,
-			pc:      pc,
-			inst:    in,
-			class:   cl,
-			readyAt: s.cycle + uint64(s.cfg.BranchLat),
-			predNPC: pc + isa.WordBytes,
-		}
-
 		stop := s.predictControl(p, slot)
 		s.fetchQLen++
-		s.emit(TraceFetch, slot.seq, p.token, pc, in, slot.predNPC)
+		s.emit(TraceFetch, slot.seq, p.token, pc, &slot.inst, slot.predNPC)
 		p.fetchPC = slot.predNPC
 		if stop {
 			return budget
@@ -142,26 +107,56 @@ func (s *Sim) fetchPath(p *path, budget int) int {
 	return budget
 }
 
+// fetchInto fetches the instruction at pc into the fetch queue's next free
+// slot (which the caller then enqueues), predicting the fall-through. The
+// instruction comes through the predecode plane: two table loads
+// (instruction and precomputed class) for in-segment PCs,
+// Read32+Decode+classify otherwise (identical result, see FetchInstClass).
+//
+// The slot is built in place: zeroed, then assigned field by field, with
+// the instruction copied straight from the plane into it. A composite
+// literal compiles to a temporary and a block copy, and a by-value
+// isa.Inst (20 bytes of mixed-width fields) is staged through stack
+// temporaries whose copies stall on store forwarding. The slot starts with
+// no checkpoint; takeCheckpoint draws one from the pool when it needs one.
+func (s *Sim) fetchInto(p *path, mach *emu.Machine, pc uint32) *fetchSlot {
+	tail := s.fetchQHead + s.fetchQLen
+	if tail >= len(s.fetchQ) {
+		tail -= len(s.fetchQ)
+	}
+	s.stats.Fetched++
+	s.nextSeq++
+	slot := &s.fetchQ[tail]
+	*slot = fetchSlot{}
+	slot.class = mach.FetchInstClass(pc, &slot.inst)
+	slot.seq = s.nextSeq
+	slot.pathTok = p.token
+	slot.readyAt = s.cycle + uint64(s.cfg.BranchLat)
+	slot.pc = pc
+	slot.predNPC = pc + isa.WordBytes
+	return slot
+}
+
 // predictControl fills the slot's prediction fields, performs speculative
 // RAS updates and checkpointing, and decides whether to fork. It reports
 // whether fetch must stop for this path this cycle (predicted-taken
 // transfer).
 func (s *Sim) predictControl(p *path, slot *fetchSlot) bool {
-	in := slot.inst
+	in := &slot.inst // not a copy: the slot was just written
 	pc := slot.pc
 	switch slot.class {
 	case isa.ClassJump:
 		slot.predNPC = in.DirectTarget(pc)
-		slot.predTaken = true
+		slot.flags |= flPredTaken
 		return true
 
 	case isa.ClassCall:
 		if p.ras != nil {
 			s.rasPush(p, slot, in.ReturnAddress(pc))
-			slot.rasPushed = true
+			slot.flags |= flRASPushed
 		}
 		slot.predNPC = in.DirectTarget(pc)
-		slot.predTaken = true
+		slot.flags |= flPredTaken
 		return true
 
 	case isa.ClassCondBranch:
@@ -171,16 +166,19 @@ func (s *Sim) predictControl(p *path, slot *fetchSlot) bool {
 		if s.cfg.SpecHistory {
 			slot.histSnap = s.hybrid.Snapshot(pc)
 		}
-		slot.predTaken = s.dirPred.Predict(pc)
+		predTaken := s.dirPred.Predict(pc)
+		if predTaken {
+			slot.flags |= flPredTaken
+		}
 		if s.cfg.SpecHistory {
-			s.hybrid.SpecShift(pc, slot.predTaken)
+			s.hybrid.SpecShift(pc, predTaken)
 		}
 		if s.tryFork(p, slot) {
 			// Parent follows the taken side; the child follows fall-through.
 			slot.predNPC = in.DirectTarget(pc)
 			return true
 		}
-		if slot.predTaken {
+		if predTaken {
 			slot.predNPC = in.DirectTarget(pc)
 			s.takeCheckpoint(p, slot)
 			return true
@@ -201,16 +199,15 @@ func (s *Sim) predictControl(p *path, slot *fetchSlot) bool {
 				}
 			}
 			target, valid := p.ras.Pop()
-			slot.rasPopped = true
-			slot.fromRAS = true
+			slot.flags |= flRASPopped | flFromRAS
 			slot.predNPC = target
 			slot.rasAux = PackRASAux(p.rasID, popSlot)
 			if !valid {
-				slot.rasUnderflow = true
+				slot.flags |= flRASUnderflow
 				// The valid-bits design detects corrupt/empty entries and
 				// consults the BTB instead of a known-bad address.
 				if _, tagged := p.ras.(core.SeqRepairer); tagged {
-					slot.fromRAS = false
+					slot.flags &^= flFromRAS
 					slot.predNPC = slot.inst.FallThrough(pc)
 					if t, ok := s.btb.Lookup(pc); ok {
 						slot.predNPC = t
@@ -219,13 +216,13 @@ func (s *Sim) predictControl(p *path, slot *fetchSlot) bool {
 			}
 			if s.tracer != nil {
 				fl := FlagRASPop | FlagReturn
-				if slot.rasUnderflow {
+				if slot.flags.has(flRASUnderflow) {
 					fl |= FlagUnderflow
 				}
-				if slot.fromRAS {
+				if slot.flags.has(flFromRAS) {
 					fl |= FlagFromRAS
 				}
-				s.emitEvent(TraceRASPop, slot.seq, p.token, pc, in,
+				s.emitEvent(TraceRASPop, slot.seq, p.token, pc, *in,
 					target, slot.rasAux, fl)
 			}
 		case s.cfg.ReturnPred == config.ReturnTargetCache:
@@ -239,7 +236,7 @@ func (s *Sim) predictControl(p *path, slot *fetchSlot) bool {
 		}
 		// On a BTB miss without a RAS the fall-through stands in: the
 		// front end has nowhere to redirect until the return resolves.
-		slot.predTaken = true
+		slot.flags |= flPredTaken
 		s.takeCheckpoint(p, slot)
 		return true
 
@@ -250,7 +247,7 @@ func (s *Sim) predictControl(p *path, slot *fetchSlot) bool {
 		if target, ok := s.predictIndirect(pc); ok {
 			slot.predNPC = target
 		}
-		slot.predTaken = true
+		slot.flags |= flPredTaken
 		s.takeCheckpoint(p, slot)
 		return true
 
@@ -260,12 +257,12 @@ func (s *Sim) predictControl(p *path, slot *fetchSlot) bool {
 		}
 		if p.ras != nil {
 			s.rasPush(p, slot, in.ReturnAddress(pc))
-			slot.rasPushed = true
+			slot.flags |= flRASPushed
 		}
 		if target, ok := s.predictIndirect(pc); ok {
 			slot.predNPC = target
 		}
-		slot.predTaken = true
+		slot.flags |= flPredTaken
 		s.takeCheckpoint(p, slot)
 		return true
 	}
@@ -320,23 +317,26 @@ func (s *Sim) takeCheckpoint(p *path, slot *fetchSlot) {
 	if p.ras == nil {
 		return
 	}
-	s.lendCheckpointBuffer(&slot.checkpoint)
-	p.ras.SaveInto(&slot.checkpoint)
-	if !slot.checkpoint.Valid() {
+	h := s.cpIdle[len(s.cpIdle)-1] // taken below only if kept
+	c := &s.cps[h]
+	s.lendCheckpointBuffer(c)
+	p.ras.SaveInto(c)
+	if !c.Valid() {
 		// Policy saved nothing; return any lent buffer to the pool.
-		s.recycleCheckpoint(&slot.checkpoint)
+		s.recycleCheckpoint(c)
 		return
 	}
 	if s.cfg.ShadowSlots > 0 && s.shadowUsed >= s.cfg.ShadowSlots {
 		s.stats.CheckpointsDenied++
-		s.recycleCheckpoint(&slot.checkpoint)
-		s.emitA(TraceCheckpoint, slot.seq, p.token, slot.pc, slot.inst,
+		s.recycleCheckpoint(c)
+		s.emitA(TraceCheckpoint, slot.seq, p.token, slot.pc, &slot.inst,
 			0, uint32(s.shadowUsed), FlagDenied)
 		return
 	}
+	s.cpIdle = s.cpIdle[:len(s.cpIdle)-1]
 	s.shadowUsed++
-	slot.hasCheckpoint = true
-	s.emitA(TraceCheckpoint, slot.seq, p.token, slot.pc, slot.inst,
+	slot.cp = h
+	s.emitA(TraceCheckpoint, slot.seq, p.token, slot.pc, &slot.inst,
 		0, uint32(s.shadowUsed), 0)
 }
 
@@ -389,9 +389,9 @@ func (s *Sim) tryFork(p *path, slot *fetchSlot) bool {
 		s.takeCheckpoint(p, slot)
 	}
 
-	slot.forked = true
+	slot.flags |= flForked
 	slot.childToken = child.token
 	s.stats.Forks++
-	s.emit(TraceFork, slot.seq, p.token, slot.pc, slot.inst, child.fetchPC)
+	s.emit(TraceFork, slot.seq, p.token, slot.pc, &slot.inst, child.fetchPC)
 	return true
 }

@@ -78,6 +78,39 @@ func TestSteadyStateStepAllocs(t *testing.T) {
 	}
 }
 
+// TestSteadyStateStepAllocsMultipath extends the pin to multipath: an
+// 8-path machine with a unified, checkpoint-repaired stack forks, squashes
+// losing subtrees and wakes dependents on every resolution, and the ready
+// set, completion wheel, store set and checkpoint pool behind that traffic
+// must allocate nothing once warm.
+func TestSteadyStateStepAllocsMultipath(t *testing.T) {
+	im := mustAssemble(t, corruptorProgram)
+	s, err := New(mpConfig(8, config.MPUnifiedRepair), im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		if err := s.StepForTest(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forks, squashed := s.Stats().Forks, s.Stats().PathsSquashed
+	n := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 200; i++ {
+			_ = s.StepForTest()
+		}
+	})
+	if s.Done() {
+		t.Fatal("program finished during measurement; shorten the warmup")
+	}
+	if n != 0 {
+		t.Fatalf("steady-state 8-path stepping allocates %v times per 200 cycles, want 0", n)
+	}
+	if s.Stats().Forks == forks || s.Stats().PathsSquashed == squashed {
+		t.Fatal("no forks or path squashes during measurement; the pin is vacuous")
+	}
+}
+
 // TestFoldLiveStackStatsAllocs pins the scratch-slice replacement of the
 // per-call seen map: folding live stack stats allocates nothing.
 func TestFoldLiveStackStatsAllocs(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"retstack/internal/config"
 	"retstack/internal/core"
+	"retstack/internal/program"
 )
 
 // TestInvariantsEveryCycle steps representative configurations cycle by
@@ -16,23 +17,28 @@ func TestInvariantsEveryCycle(t *testing.T) {
 		name string
 		cfg  config.Config
 		src  string
+		smt  string // second thread's program (SMT cases only)
 	}{
-		{"single-path", config.Baseline().WithPolicy(core.RepairTOSPointerAndContents), corruptorProgram},
-		{"no-repair", config.Baseline(), corruptorProgram},
+		{"single-path", config.Baseline().WithPolicy(core.RepairTOSPointerAndContents), corruptorProgram, ""},
+		{"no-repair", config.Baseline(), corruptorProgram, ""},
 		{"tight-shadow", func() config.Config {
 			c := config.Baseline().WithPolicy(core.RepairFullStack)
 			c.ShadowSlots = 2
 			return c
-		}(), corruptorProgram},
-		{"2-path", mpConfig(2, config.MPPerPath), corruptorProgram},
-		{"4-path-unified", mpConfig(4, config.MPUnified), fibProgram},
-		{"8-path", mpConfig(8, config.MPUnifiedRepair), corruptorProgram},
+		}(), corruptorProgram, ""},
+		{"2-path", mpConfig(2, config.MPPerPath), corruptorProgram, ""},
+		{"4-path-unified", mpConfig(4, config.MPUnified), fibProgram, ""},
+		{"8-path", mpConfig(8, config.MPUnifiedRepair), corruptorProgram, ""},
+		{"smt-2", smtConfig(2, false), fibProgram, corruptorProgram},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			im := mustAssemble(t, c.src)
-			s, err := New(c.cfg, im)
+			ims := []*program.Image{mustAssemble(t, c.src)}
+			if c.smt != "" {
+				ims = append(ims, mustAssemble(t, c.smt))
+			}
+			s, err := NewSMT(c.cfg, ims)
 			if err != nil {
 				t.Fatal(err)
 			}

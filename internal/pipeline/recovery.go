@@ -10,8 +10,9 @@ import (
 // dispatched on the correct path: squash everything younger on its path
 // (and any path forked from it after the branch), repair the
 // return-address stack from the branch's checkpoint, and redirect fetch to
-// the true target.
-func (s *Sim) recover(e *ruuEntry) {
+// the true target. idx is the branch's RUU slot.
+func (s *Sim) recover(idx int) {
+	e := &s.ruu[idx]
 	p := s.pathByToken(e.pathTok)
 	if p == nil {
 		s.fail("recovery for a dead path (seq %d)", e.seq)
@@ -19,24 +20,24 @@ func (s *Sim) recover(e *ruuEntry) {
 	}
 	s.stats.Recoveries++
 	if s.tracer != nil {
-		fl := FlagMispred | rasActivityFlags(e.rasPushed, e.rasPopped, e.rasUnderflow)
+		fl := FlagMispred | rasActivityFlags(e.flags)
 		if e.class == isa.ClassReturn {
 			fl |= FlagReturn
 		}
-		if e.fromRAS {
+		if e.flags.has(flFromRAS) {
 			fl |= FlagFromRAS
 		}
 		s.emitEvent(TraceRecover, e.seq, e.pathTok, e.pc, e.inst,
 			e.actualNPC, e.rasAux, fl)
 	}
-	s.squashYounger(p, e.seq)
+	s.squashYounger(p, idx)
 
 	if p.ras != nil {
 		if sr, ok := p.ras.(core.SeqRepairer); ok {
 			sr.InvalidateAfter(e.seq)
 			s.traceRepair(p, e, FlagRepairTagged)
-		} else if e.hasCheckpoint {
-			p.ras.Restore(&e.checkpoint)
+		} else if e.cp != 0 {
+			p.ras.Restore(&s.cps[e.cp])
 			s.traceRepair(p, e, s.repairFlag())
 		} else {
 			// No repair available: policy none, or the shadow slot was
@@ -46,7 +47,7 @@ func (s *Sim) recover(e *ruuEntry) {
 	}
 	if s.cfg.SpecHistory {
 		s.hybrid.RestoreHistory(e.pc, e.histSnap,
-			e.class == isa.ClassCondBranch, e.actualTaken)
+			e.class == isa.ClassCondBranch, e.flags.has(flActualTaken))
 	}
 
 	p.correct = true
@@ -58,8 +59,10 @@ func (s *Sim) recover(e *ruuEntry) {
 	s.rebuildCreators(p)
 }
 
-// resolveFork squashes the losing side of a forked branch when it resolves.
-func (s *Sim) resolveFork(e *ruuEntry) {
+// resolveFork squashes the losing side of a forked branch, in RUU slot
+// idx, when it resolves.
+func (s *Sim) resolveFork(idx int) {
+	e := &s.ruu[idx]
 	p := s.pathByToken(e.pathTok)
 	if p == nil {
 		return // whole subtree already gone
@@ -68,23 +71,25 @@ func (s *Sim) resolveFork(e *ruuEntry) {
 	// state. This discards the winning side's own pushes too — the reason
 	// the paper finds that even checkpoint repair cannot make one unified
 	// stack work under multipath execution.
-	if s.cfg.MPStacks == config.MPUnifiedRepair && p.ras != nil && e.hasCheckpoint {
-		p.ras.Restore(&e.checkpoint)
+	if s.cfg.MPStacks == config.MPUnifiedRepair && p.ras != nil && e.cp != 0 {
+		p.ras.Restore(&s.cps[e.cp])
 		s.traceRepair(p, e, s.repairFlag())
 	}
 
-	if e.loserParent {
+	if e.flags.has(flLoserParent) {
 		// The parent's continuation lost: squash its post-branch work. Its
 		// fetch stream has no correct continuation (the child is it), so
 		// the context stops fetching and is reclaimed once it drains.
-		s.squashYounger(p, e.seq)
+		s.squashYounger(p, idx)
 		p.fetchDead = true
 		p.overlay.Reset()
 		s.rebuildCreators(p)
 		return
 	}
-	if child := s.pathByToken(e.loserToken); child != nil {
-		s.killSubtree(child)
+	// The child's side lost; it may already be gone (tokens are never
+	// reused, so a dead child's token stays unresolvable).
+	if child := s.pathByToken(e.childToken); child != nil {
+		s.killSubtree(child, idx)
 	}
 }
 
@@ -133,10 +138,11 @@ func (s *Sim) releaseDoomedPaths() {
 	s.doomedToks = s.doomedToks[:0]
 }
 
-// squashYounger invalidates every RUU entry on path p younger than seq,
-// kills every path forked from p after seq (transitively), and flushes the
-// fetch queue accordingly.
-func (s *Sim) squashYounger(p *path, seq uint64) {
+// squashYounger invalidates every RUU entry on path p younger than the
+// branch in slot at, kills every path forked from p after it
+// (transitively), and flushes the fetch queue accordingly.
+func (s *Sim) squashYounger(p *path, at int) {
+	seq := s.ruu[at].seq
 	s.doomedToks = s.doomedToks[:0]
 	for i := range s.paths {
 		q := &s.paths[i]
@@ -145,18 +151,16 @@ func (s *Sim) squashYounger(p *path, seq uint64) {
 		}
 	}
 	s.doomDescendants()
-	next := s.ruuHead
-	for k := 0; k < s.ruuCount; k++ {
-		idx := next
-		if next++; next == len(s.ruu) {
-			next = 0
+	for idx, k := at, s.youngerThan(at); k > 0; k-- {
+		if idx++; idx == len(s.ruu) {
+			idx = 0
 		}
 		st := s.ruuState[idx]
 		if st&ruuValid == 0 || st&ruuSquashed != 0 {
 			continue
 		}
 		e := &s.ruu[idx]
-		if e.pathTok == p.token && e.seq > seq || s.tokenDoomed(e.pathTok) {
+		if e.pathTok == p.token || s.tokenDoomed(e.pathTok) {
 			s.squashEntry(idx)
 		}
 	}
@@ -164,16 +168,15 @@ func (s *Sim) squashYounger(p *path, seq uint64) {
 	s.releaseDoomedPaths()
 }
 
-// killSubtree squashes a path and all its descendants entirely.
-func (s *Sim) killSubtree(root *path) {
+// killSubtree squashes a path and all its descendants entirely. root was
+// forked by the branch in slot at, so all of the subtree's work is younger.
+func (s *Sim) killSubtree(root *path, at int) {
 	s.doomedToks = s.doomedToks[:0]
 	s.markDoomed(root.token)
 	s.doomDescendants()
-	next := s.ruuHead
-	for k := 0; k < s.ruuCount; k++ {
-		idx := next
-		if next++; next == len(s.ruu) {
-			next = 0
+	for idx, k := at, s.youngerThan(at); k > 0; k-- {
+		if idx++; idx == len(s.ruu) {
+			idx = 0
 		}
 		st := s.ruuState[idx]
 		if st&ruuValid != 0 && st&ruuSquashed == 0 && s.tokenDoomed(s.ruu[idx].pathTok) {
@@ -185,43 +188,64 @@ func (s *Sim) killSubtree(root *path) {
 	s.releaseDoomedPaths()
 }
 
+// youngerThan returns the number of RUU entries younger than slot idx.
+// The ring holds entries in fetch (seq) order, so these are exactly the
+// entries with a larger seq.
+func (s *Sim) youngerThan(idx int) int {
+	pos := idx - s.ruuHead
+	if pos < 0 {
+		pos += len(s.ruu)
+	}
+	return s.ruuCount - pos - 1
+}
+
 // squashEntry marks one RUU entry as wrong-path work. The slot itself
 // drains through commit ("now-empty entries must still propagate to the
-// front and be retired").
+// front and be retired"). A squashed entry leaves the scheduling sets and,
+// since squashed counts as completed, wakes its consumers.
 func (s *Sim) squashEntry(idx int) {
 	e := &s.ruu[idx]
+	switch st := s.ruuState[idx]; st {
+	case ruuValid:
+		s.ready.del(idx)
+		s.wake(idx)
+	case ruuValid | ruuIssued:
+		s.wheel[e.completeAt&s.wheelMask].del(idx)
+		s.wake(idx)
+	}
 	s.ruuState[idx] |= ruuSquashed | ruuCompleted
-	e.recovers = false
+	s.stores.del(idx)
+	e.flags &^= flRecovers
 	s.releaseCheckpoint(e)
-	if e.lsqHeld {
-		e.lsqHeld = false
+	if e.flags.has(flLSQHeld) {
+		e.flags &^= flLSQHeld
 		s.lsqCount--
 	}
-	if e.rasPushed {
+	if e.flags.has(flRASPushed) {
 		s.stats.WrongPathPushes++
 	}
-	if e.rasPopped {
+	if e.flags.has(flRASPopped) {
 		s.stats.WrongPathPops++
 	}
 	s.stats.Squashed++
-	s.emitA(TraceSquash, e.seq, e.pathTok, e.pc, e.inst, 0, e.rasAux,
-		rasActivityFlags(e.rasPushed, e.rasPopped, e.rasUnderflow))
+	s.emitA(TraceSquash, e.seq, e.pathTok, e.pc, &e.inst, 0, e.rasAux,
+		rasActivityFlags(e.flags))
 }
 
-// rasActivityFlags summarizes an entry's fetch-time stack side effects
-// for squash and recover events.
-func rasActivityFlags(pushed, popped, underflow bool) TraceFlags {
-	var f TraceFlags
-	if pushed {
-		f |= FlagRASPush
+// rasActivityFlags summarizes an instruction's fetch-time stack side
+// effects for squash and recover events.
+func rasActivityFlags(f instFlags) TraceFlags {
+	var t TraceFlags
+	if f.has(flRASPushed) {
+		t |= FlagRASPush
 	}
-	if popped {
-		f |= FlagRASPop
+	if f.has(flRASPopped) {
+		t |= FlagRASPop
 	}
-	if underflow {
-		f |= FlagUnderflow
+	if f.has(flRASUnderflow) {
+		t |= FlagUnderflow
 	}
-	return f
+	return t
 }
 
 // repairFlag maps the configured checkpoint policy to its repair flag.
@@ -365,8 +389,7 @@ func (s *Sim) rebuildCreators(p *path) {
 			continue
 		}
 		if s.visibleTo(e, p) {
-			p.creatorIdx[e.destReg] = idx
-			p.creatorSeq[e.destReg] = e.seq
+			p.creators[e.destReg] = creator{seq: e.seq, idx: int32(idx)}
 		}
 	}
 }

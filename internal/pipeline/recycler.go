@@ -88,18 +88,13 @@ func (r *Recycler) takeOverlays() []*emu.Overlay {
 // keeps its statistics, machines, and predictors (everything the runners
 // read), but its RUU and fetch queue are gone. Checkpoint buffers still
 // owned by in-flight entries are harvested first so no stack copy leaks
-// with the ring.
+// with the checkpoint pool.
 func (s *Sim) Release(r *Recycler) {
 	if r == nil {
 		return
 	}
-	for i := range s.ruu {
-		if b := s.ruu[i].checkpoint.TakeBuffer(); b != nil {
-			r.bufs = append(r.bufs, b)
-		}
-	}
-	for i := range s.fetchQ {
-		if b := s.fetchQ[i].checkpoint.TakeBuffer(); b != nil {
+	for i := range s.cps {
+		if b := s.cps[i].TakeBuffer(); b != nil {
 			r.bufs = append(r.bufs, b)
 		}
 	}

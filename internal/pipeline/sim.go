@@ -44,6 +44,14 @@ type Sim struct {
 	ruuCount int
 	lsqCount int
 
+	// Scheduling sets over RUU slots (see issue.go): ready holds unissued
+	// entries whose operands are available, wheel holds in-flight entries
+	// by completion cycle modulo wheelMask+1, stores the live stores.
+	ready     slotSet
+	wheel     []slotSet
+	wheelMask uint64
+	stores    slotSet
+
 	fetchQ     []fetchSlot
 	fetchQHead int
 	fetchQLen  int
@@ -65,6 +73,14 @@ type Sim struct {
 	// scan). stackSeen is the equivalent scratch for foldLiveStackStats.
 	doomedToks []uint64
 	stackSeen  []core.ReturnStack
+
+	// cps is the shadow checkpoint pool. Fetch slots and RUU entries hold
+	// handles into it (0 = none; cps[0] is never handed out), so moving an
+	// instruction from the fetch queue into the RUU copies no saved stack
+	// state. Every slot and entry can hold one, so cpIdle, the free
+	// handles, never runs dry.
+	cps    []core.Checkpoint
+	cpIdle []int32
 
 	// cpFree recycles full-stack checkpoint backing buffers: released
 	// checkpoints return their buffer here instead of keeping the stack
@@ -152,8 +168,16 @@ func NewSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*
 		ruu:      r.takeRUU(cfg.RUUSize),
 		ruuState: make([]uint8, cfg.RUUSize),
 		fetchQ:   r.takeSlots(cfg.FetchWidth * (cfg.BranchLat + 2)),
-		cpFree: r.takeBufs(),
-		ovFree: r.takeOverlays(),
+		cpFree:   r.takeBufs(),
+		ovFree:   r.takeOverlays(),
+		ready:    newSlotSet(cfg.RUUSize),
+		stores:   newSlotSet(cfg.RUUSize),
+	}
+	s.wheel, s.wheelMask = newWheel(cfg, cfg.RUUSize)
+	s.cps = make([]core.Checkpoint, len(s.ruu)+len(s.fetchQ)+1)
+	s.cpIdle = make([]int32, 0, len(s.cps)-1)
+	for h := len(s.cps) - 1; h > 0; h-- {
+		s.cpIdle = append(s.cpIdle, int32(h))
 	}
 	switch cfg.DirPred {
 	case config.DirGShare:

@@ -165,24 +165,29 @@ func (s *Sim) SetTracer(t Tracer) { s.tracer = t }
 
 // emit forwards one event to the tracer. The nil check lives in this thin
 // wrapper so it inlines at every call site: with tracing off (the sweep
-// case) the call — including marshaling the seven arguments — folds away,
-// which is worth several percent of simulator throughput across the hot
-// per-cycle stages.
-func (s *Sim) emit(kind TraceKind, seq, path uint64, pc uint32, inst isa.Inst, extra uint32) {
+// case) the call folds away, which is worth several percent of simulator
+// throughput across the hot per-cycle stages. The instruction comes by
+// pointer: arguments are evaluated before the inlined nil check, and a
+// by-value isa.Inst (20 bytes) would be copied through the stack on every
+// call, traced or not.
+func (s *Sim) emit(kind TraceKind, seq, path uint64, pc uint32, inst *isa.Inst, extra uint32) {
 	if s.tracer == nil {
 		return
 	}
-	s.emitEvent(kind, seq, path, pc, inst, extra, 0, 0)
+	s.emitEvent(kind, seq, path, pc, *inst, extra, 0, 0)
 }
 
 // emitA is emit with the aux word and flags populated — same inlining
 // contract as emit.
-func (s *Sim) emitA(kind TraceKind, seq, path uint64, pc uint32, inst isa.Inst, extra, aux uint32, flags TraceFlags) {
+func (s *Sim) emitA(kind TraceKind, seq, path uint64, pc uint32, inst *isa.Inst, extra, aux uint32, flags TraceFlags) {
 	if s.tracer == nil {
 		return
 	}
-	s.emitEvent(kind, seq, path, pc, inst, extra, aux, flags)
+	s.emitEvent(kind, seq, path, pc, *inst, extra, aux, flags)
 }
+
+// noInst is the instruction of events that carry none.
+var noInst isa.Inst
 
 //go:noinline
 func (s *Sim) emitEvent(kind TraceKind, seq, path uint64, pc uint32, inst isa.Inst, extra, aux uint32, flags TraceFlags) {

@@ -43,13 +43,16 @@ func (p *Plane) Lookup(pc uint32) (isa.Inst, bool) {
 
 // LookupClass is Lookup extended with the instruction's precomputed class.
 // Fetch calls it once per instruction; classifying at predecode time keeps
-// the per-fetch cost to two table loads.
-func (p *Plane) LookupClass(pc uint32) (isa.Inst, isa.Class, bool) {
+// the per-fetch cost to two table loads. The instruction comes back as a
+// pointer into the plane, which callers must not modify (planes are shared
+// across simulations), so the caller copies it once, straight to where it
+// is needed.
+func (p *Plane) LookupClass(pc uint32) (*isa.Inst, isa.Class, bool) {
 	idx := (pc - p.base) >> 2
 	if pc&3 != 0 || idx >= uint32(len(p.insts)) {
-		return isa.Inst{}, 0, false
+		return nil, 0, false
 	}
-	return p.insts[idx], p.classes[idx], true
+	return &p.insts[idx], p.classes[idx], true
 }
 
 // CodeSegment returns the segment containing the entry point — the text
