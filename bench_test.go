@@ -278,6 +278,58 @@ func BenchmarkSweepCached(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmCampaign measures a warm campaign end to end, the way a
+// user reruns one against a filled store: open the store, run all 17
+// experiments against it, render, close. The store is filled once,
+// untimed, at a small budget; the cell count, and so the store's size,
+// does not depend on the budget. Unlike BenchmarkSweepCached, each
+// iteration pays for Open. Every render must match the fill's and no
+// cell may miss.
+func BenchmarkWarmCampaign(b *testing.B) {
+	dir := b.TempDir()
+	params := func(st *resultstore.Store) experiments.Params {
+		return experiments.Params{InstBudget: 10_000, Parallel: runtime.GOMAXPROCS(0), Store: st, StoreScope: "bench"}
+	}
+	campaign := func() (map[string]string, resultstore.Stats) {
+		st, err := resultstore.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tables := map[string]string{}
+		for _, id := range experiments.IDs() {
+			res, err := experiments.Run(id, params(st))
+			if err != nil {
+				b.Fatal(err)
+			}
+			tables[id] = res.String()
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return tables, st.Stats()
+	}
+	cold, _ := campaign()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cells uint64
+	for i := 0; i < b.N; i++ {
+		tables, s := campaign()
+		if s.Misses != 0 {
+			b.Fatalf("warm campaign missed %d cells, want pure cache hits", s.Misses)
+		}
+		for id, want := range cold {
+			if tables[id] != want {
+				b.Fatalf("%s: warm render differs from the fill", id)
+			}
+		}
+		cells += s.Hits
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(cells)/secs, "cells/s")
+	}
+}
+
 // BenchmarkSimulatorThroughput measures raw simulation speed (simulated
 // instructions per wall-clock second) on the baseline machine.
 func BenchmarkSimulatorThroughput(b *testing.B) {

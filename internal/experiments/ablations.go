@@ -455,39 +455,35 @@ func runA7(p Params) (*Result, error) {
 	// through the resilient core directly: one cell per (workload, sharing)
 	// pair, in assembly order, both threads (and both sharing cells)
 	// running one shared prebuilt image.
-	ims, err := p.imagesFor(len(ws)*len(sharing), func(i int) workloads.Workload { return ws[i/len(sharing)] })
-	if err != nil {
-		return nil, err
-	}
 	rec := p.newRecyclers()
-	sims, err := runCells(p, len(ws)*len(sharing), func(ctx context.Context, worker, i int) (out cellOut, err error) {
-		p.doCell(ctx, i, func() {
-			w := ws[i/len(sharing)]
-			cfg := config.Baseline().WithPolicy(core.RepairTOSPointerAndContents)
-			cfg.SMTThreads = 2
-			cfg.SMTSharedRAS = sharing[i%len(sharing)]
-			cfg.NoPredecode = p.NoPredecode
-			cfg.NoFlatOverlay = p.NoFlatOverlay
-			cfg.NoBlocks = p.NoBlocks
-			r := rec.of(worker)
-			im := ims[w.Name]
-			sim, err2 := pipeline.NewSMTWithRecycler(cfg, []*program.Image{im, im}, r)
-			if err2 != nil {
-				err = err2
-				return
-			}
-			if every, addr, ok := p.Inject.Disturb(p.expID, i); ok {
-				sim.SetDisturber(every, addr)
-			}
-			if err2 := sim.Run(p.InstBudget); err2 != nil {
-				err = fmt.Errorf("%s: %w", w.Name, err2)
-				return
-			}
-			sim.Release(r)
-			out = cellOut{Sim: sim.Stats()}
+	sims, err := runCells(p, len(ws)*len(sharing), func(i int) workloads.Workload { return ws[i/len(sharing)] },
+		func(ctx context.Context, worker, i int, im *program.Image) (out cellOut, err error) {
+			p.doCell(ctx, i, func() {
+				w := ws[i/len(sharing)]
+				cfg := config.Baseline().WithPolicy(core.RepairTOSPointerAndContents)
+				cfg.SMTThreads = 2
+				cfg.SMTSharedRAS = sharing[i%len(sharing)]
+				cfg.NoPredecode = p.NoPredecode
+				cfg.NoFlatOverlay = p.NoFlatOverlay
+				cfg.NoBlocks = p.NoBlocks
+				r := rec.of(worker)
+				sim, err2 := pipeline.NewSMTWithRecycler(cfg, []*program.Image{im, im}, r)
+				if err2 != nil {
+					err = err2
+					return
+				}
+				if every, addr, ok := p.Inject.Disturb(p.expID, i); ok {
+					sim.SetDisturber(every, addr)
+				}
+				if err2 := sim.Run(p.InstBudget); err2 != nil {
+					err = fmt.Errorf("%s: %w", w.Name, err2)
+					return
+				}
+				sim.Release(r)
+				out = cellOut{Sim: sim.Stats()}
+			})
+			return out, err
 		})
-		return out, err
-	})
 	if err != nil {
 		return nil, err
 	}

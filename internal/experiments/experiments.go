@@ -13,6 +13,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"retstack/internal/config"
@@ -123,8 +124,11 @@ type Params struct {
 	StoreScope string
 	// OnStoreHit, if non-nil, observes each cell served from the store
 	// (shared=false: resident record; shared=true: another in-flight
-	// identical cell's computation) instead of simulated. Called from
-	// sweep setup and worker goroutines; must be concurrency-safe.
+	// identical cell's computation) instead of simulated. Cells resident
+	// before the sweep starts are reported serially, in ascending cell
+	// order, on the goroutine that called Run; cells resolved inside the
+	// sweep are reported from worker goroutines, so it must be
+	// concurrency-safe.
 	OnStoreHit func(exp string, cell int, shared bool)
 	// OnStoreFault, if non-nil, observes a store I/O failure the run
 	// absorbed: a cell simulated successfully but its result could not
@@ -315,8 +319,10 @@ type workloadProfile struct {
 	P95Depth int    `json:"p95_depth"`
 }
 
-// runCells is the resilient sweep core every runner fans out through. On
-// top of the engine's determinism contract it adds, per Params:
+// runCells is the resilient sweep core every runner fans out through:
+// cell i runs workload(i), and body simulates it on that workload's
+// shared prebuilt image. On top of the engine's determinism contract it
+// adds, per Params:
 //
 //   - cancellation: the sweep stops claiming cells once p.Ctx is done;
 //   - resume: cells journaled by a previous run are spliced in from
@@ -331,49 +337,27 @@ type workloadProfile struct {
 //   - caching: with p.Store set, cells resident in the content-addressed
 //     store splice in exactly like replayed cells, and misses simulate
 //     under the store's singleflight before being persisted.
-func runCells(p Params, n int, body func(ctx context.Context, worker, i int) (cellOut, error)) ([]cellOut, error) {
+//
+// Spliced cells are resolved first, and images are built only for the
+// workloads of the cells left to run, so a fully warm sweep builds none.
+func runCells(p Params, n int, workload func(i int) workloads.Workload, body func(ctx context.Context, worker, i int, im *program.Image) (cellOut, error)) ([]cellOut, error) {
 	if p.Store != nil && p.Inject != nil {
 		return nil, fmt.Errorf("%s: the result store cannot be combined with fault injection: injected cells would poison the cache", p.expID)
 	}
-	scope := p.scope()
-	replayed := p.Replay.Scope(scope)
-	spliced := make(map[int]cellOut, len(replayed))
-	for i, raw := range replayed {
-		if i >= n {
-			continue
-		}
-		var c cellOut
-		if err := json.Unmarshal(raw, &c); err != nil {
-			return nil, fmt.Errorf("resume %s cell %d: %w", scope, i, err)
-		}
-		spliced[i] = c
+	spliced, keys, err := p.splice(n)
+	if err != nil {
+		return nil, err
 	}
-	// Lookup-before-simulate: probe the store for every cell the journal
-	// didn't already splice. Hits splice in the same way — no execution,
-	// no monitor callbacks — which is what lets a warm rerun assert zero
-	// simulations. An undecodable payload (schema drift across versions)
-	// degrades to a miss; the re-simulated result re-Puts and heals the
-	// store, since the latest record for a key wins.
-	var keys []string
-	if p.Store != nil {
-		keys = make([]string, n)
-		for i := 0; i < n; i++ {
-			keys[i] = resultstore.CellKey(p.StoreScope, p.expID, i)
-			if _, ok := spliced[i]; ok {
-				continue
-			}
-			raw, _, ok := p.Store.Get(keys[i])
-			if !ok {
-				continue
-			}
-			var c cellOut
-			if err := json.Unmarshal(raw, &c); err != nil {
-				continue
-			}
-			spliced[i] = c
-			if p.OnStoreHit != nil {
-				p.OnStoreHit(p.expID, i, false)
-			}
+	var need []workloads.Workload
+	for i := 0; i < n; i++ {
+		if spliced[i] == nil {
+			need = append(need, workload(i))
+		}
+	}
+	var ims map[string]*program.Image
+	if len(need) > 0 {
+		if ims, err = buildImages(p, need); err != nil {
+			return nil, err
 		}
 	}
 	pol := sweep.Policy{
@@ -382,11 +366,10 @@ func runCells(p Params, n int, body func(ctx context.Context, worker, i int) (ce
 		Backoff:       p.RetryBackoff,
 		CellTimeout:   p.CellTimeout,
 		OnWorkerStats: p.OnWorkerStats,
-	}
-	if len(spliced) > 0 {
-		pol.Skip = func(cell int) bool { _, ok := spliced[cell]; return ok }
+		Skip:          func(cell int) bool { return spliced[cell] != nil },
 	}
 	if p.Journal != nil {
+		scope := p.scope()
 		pol.OnSuccess = func(cell int, v any) error { return p.Journal.Append(scope, cell, v) }
 	}
 	out, fails, err := sweep.MapWorkersPolicy(p.ctx(), p.workers(), n, p.Monitor, pol,
@@ -394,16 +377,19 @@ func runCells(p Params, n int, body func(ctx context.Context, worker, i int) (ce
 			if err := p.Inject.Harness(ctx, p.expID, i); err != nil {
 				return cellOut{}, err
 			}
+			im := ims[workload(i).Name]
 			if p.Store == nil {
-				return body(ctx, worker, i)
+				return body(ctx, worker, i, im)
 			}
-			return p.storeCell(ctx, keys[i], i, func() (cellOut, error) { return body(ctx, worker, i) })
+			return p.storeCell(ctx, keys[i], i, func() (cellOut, error) { return body(ctx, worker, i, im) })
 		})
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range spliced {
-		out[i] = c
+		if c != nil {
+			out[i] = *c
+		}
 	}
 	for _, f := range fails {
 		out[f.Cell] = cellOut{} // explicit hole
@@ -412,6 +398,66 @@ func runCells(p Params, n int, body func(ctx context.Context, worker, i int) (ce
 		}
 	}
 	return out, nil
+}
+
+// splice resolves the cells of an n-cell sweep that need no execution:
+// cells journaled by a previous run (p.Replay) and, with p.Store set,
+// cells resident in the store. spliced[i] is cell i's outcome, nil when
+// the cell must run; keys holds every cell's store key (nil without a
+// store).
+//
+// Store lookups and their decoding fan out across p.workers() on a plain
+// engine — no Monitor, no OnWorkerStats — so hits stay invisible to the
+// sweep's accounting and a warm rerun still reports zero started cells.
+// OnStoreHit then fires serially, in ascending cell order, on the
+// calling goroutine. An undecodable payload (schema drift across
+// versions) degrades to a miss; the re-simulated result re-Puts and heals
+// the store, since the latest record for a key wins.
+func (p Params) splice(n int) (spliced []*cellOut, keys []string, err error) {
+	spliced = make([]*cellOut, n)
+	scope := p.scope()
+	for i, raw := range p.Replay.Scope(scope) {
+		if i >= n {
+			continue
+		}
+		var c cellOut
+		if err := json.Unmarshal(raw, &c); err != nil {
+			return nil, nil, fmt.Errorf("resume %s cell %d: %w", scope, i, err)
+		}
+		spliced[i] = &c
+	}
+	if p.Store == nil {
+		return spliced, nil, nil
+	}
+	keys = make([]string, n)
+	hits, err := sweep.MapContext(p.ctx(), p.workers(), n, func(_ context.Context, i int) (*cellOut, error) {
+		keys[i] = resultstore.CellKey(p.StoreScope, p.expID, i)
+		if spliced[i] != nil {
+			return nil, nil
+		}
+		raw, ok := p.Store.Get(keys[i])
+		if !ok {
+			return nil, nil
+		}
+		c := new(cellOut)
+		if json.Unmarshal(raw, c) != nil {
+			return nil, nil
+		}
+		return c, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, c := range hits {
+		if c == nil {
+			continue
+		}
+		spliced[i] = c
+		if p.OnStoreHit != nil {
+			p.OnStoreHit(p.expID, i, false)
+		}
+	}
+	return spliced, keys, nil
 }
 
 // storeCell runs one missing cell under the store's singleflight: the
@@ -427,7 +473,7 @@ func runCells(p Params, n int, body func(ctx context.Context, worker, i int) (ce
 // share the cancellation error (see resultstore.Do).
 func (p Params) storeCell(ctx context.Context, key string, cell int, body func() (cellOut, error)) (cellOut, error) {
 	var computed cellOut
-	raw, _, outcome, err := p.Store.Do(ctx, key, func() ([]byte, resultstore.Provenance, error) {
+	raw, outcome, err := p.Store.Do(ctx, key, func() ([]byte, resultstore.Provenance, error) {
 		var err error
 		computed, err = body()
 		if err != nil {
@@ -475,21 +521,18 @@ func (p Params) storeCell(ctx context.Context, key string, cell int, body func()
 // pipeline.Recycler so consecutive cells on that worker reuse the big
 // simulator allocations.
 func runSims(p Params, cells []simCell) ([]cellOut, error) {
-	ims, err := p.imagesFor(len(cells), func(i int) workloads.Workload { return cells[i].w })
-	if err != nil {
-		return nil, err
-	}
 	rec := p.newRecyclers()
-	return runCells(p, len(cells), func(ctx context.Context, worker, i int) (out cellOut, err error) {
-		p.doCell(ctx, i, func() {
-			var sim *pipeline.Sim
-			sim, err = simulateCell(i, cells[i].w, ims[cells[i].w.Name], cells[i].cfg, p, rec.of(worker))
-			if err == nil {
-				out = cellOut{Sim: sim.Stats()}
-			}
+	return runCells(p, len(cells), func(i int) workloads.Workload { return cells[i].w },
+		func(ctx context.Context, worker, i int, im *program.Image) (out cellOut, err error) {
+			p.doCell(ctx, i, func() {
+				var sim *pipeline.Sim
+				sim, err = simulateCell(i, cells[i].w, im, cells[i].cfg, p, rec.of(worker))
+				if err == nil {
+					out = cellOut{Sim: sim.Stats()}
+				}
+			})
+			return out, err
 		})
-		return out, err
-	})
 }
 
 // workers resolves Params.Parallel to a concrete worker count.
@@ -518,20 +561,6 @@ func (p Params) doCell(ctx context.Context, cell int, fn func()) {
 		func(context.Context) { fn() })
 }
 
-// imagesFor builds the images a sweep's non-replayed cells need, where
-// workload(i) names cell i's workload. On resume, workloads whose every
-// cell replays from the journal are never rebuilt.
-func (p Params) imagesFor(n int, workload func(i int) workloads.Workload) (map[string]*program.Image, error) {
-	replayed := p.Replay.Scope(p.scope())
-	need := make([]workloads.Workload, 0, n)
-	for i := 0; i < n; i++ {
-		if _, ok := replayed[i]; !ok {
-			need = append(need, workload(i))
-		}
-	}
-	return buildImages(p, need)
-}
-
 // buildImages is the sweep's pre-warm phase: it builds each distinct
 // workload in ws exactly once, in parallel, and fully warms every image —
 // the predecode plane (otherwise the first cells to touch a shared image
@@ -555,6 +584,7 @@ func buildImages(p Params, ws []workloads.Workload) (map[string]*program.Image, 
 		}
 	}
 	built, err := sweep.MapContext(p.ctx(), p.workers(), len(distinct), func(_ context.Context, i int) (*program.Image, error) {
+		imageBuilds.Add(1)
 		im, err := buildFor(distinct[i], p)
 		if err != nil {
 			return nil, err
@@ -574,6 +604,11 @@ func buildImages(p Params, ws []workloads.Workload) (map[string]*program.Image, 
 	}
 	return ims, nil
 }
+
+// imageBuilds counts the images buildImages has built. Each build
+// generates its workload's source; tests read the count to pin that a
+// warm rerun builds none.
+var imageBuilds atomic.Int64
 
 // recyclers is one lazily created pipeline.Recycler per sweep worker.
 // of() is safe without locking because a worker runs its cells strictly

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,35 +112,55 @@ func TestStoreScopeSeparatesParams(t *testing.T) {
 }
 
 // TestOnStoreHitCallback: every warm-splice surfaces through OnStoreHit
-// exactly once, with shared=false (no concurrent flight to join).
+// exactly once, with shared=false (no concurrent flight to join). Hits
+// are looked up and decoded in parallel, but OnStoreHit fires in
+// ascending cell order on the goroutine that called Run — rasserve's
+// cell_cached event order relies on it.
 func TestOnStoreHitCallback(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	if _, err := Run("t3", storeParams(st, "s")); err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	hits := map[int]bool{}
+	caller := goroutineID()
+	var cells []int
 	p := storeParams(st, "s")
 	p.OnStoreHit = func(exp string, cell int, shared bool) {
-		mu.Lock()
-		defer mu.Unlock()
+		if id := goroutineID(); id != caller {
+			t.Errorf("cell %d reported on goroutine %d, want the caller's %d", cell, id, caller)
+			return
+		}
 		if exp != "t3" {
 			t.Errorf("hit reported for experiment %q, want t3", exp)
 		}
 		if shared {
 			t.Errorf("cell %d reported shared=true on a sequential warm run", cell)
 		}
-		if hits[cell] {
-			t.Errorf("cell %d reported twice", cell)
-		}
-		hits[cell] = true
+		cells = append(cells, cell)
 	}
 	if _, err := Run("t3", p); err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) != 8 {
-		t.Errorf("OnStoreHit fired for %d cells, want 8", len(hits))
+	if len(cells) != 8 {
+		t.Fatalf("OnStoreHit fired %d times (%v), want 8", len(cells), cells)
 	}
+	for i, c := range cells {
+		if c != i {
+			t.Fatalf("OnStoreHit order = %v, want cells 0..7 once each, ascending", cells)
+		}
+	}
+}
+
+// goroutineID parses the current goroutine's id from its stack header
+// ("goroutine 123 [running]:").
+func goroutineID() uint64 {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	buf = bytes.TrimPrefix(buf, []byte("goroutine "))
+	id, err := strconv.ParseUint(string(buf[:bytes.IndexByte(buf, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
 }
 
 // TestStoreRefusesFaultInjection: injected cells produce corrupted
@@ -246,5 +269,57 @@ func TestStoreFaultDegradesToUncached(t *testing.T) {
 	}
 	if hits != 2 {
 		t.Errorf("rerun hit %d cells, want the 2 persisted before the fault", hits)
+	}
+}
+
+// TestWarmRerunBuildsNoImages is the warm-path contract: after a cold
+// fill of every experiment, a warm rerun against the reopened store
+// resolves every cell from the store before any image pre-warm, so it
+// builds no image (and generates no workload source), starts no cell in
+// the engine, and renders what the fill rendered.
+func TestWarmRerunBuildsNoImages(t *testing.T) {
+	params := func(st *resultstore.Store) Params {
+		return Params{InstBudget: 10_000, Parallel: 2, Store: st, StoreScope: "warm"}
+	}
+	dir := t.TempDir()
+	fill := openStore(t, dir)
+	before := imageBuilds.Load()
+	cold := map[string]string{}
+	for _, id := range IDs() {
+		res, err := Run(id, params(fill))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold[id] = res.String()
+	}
+	if imageBuilds.Load() == before {
+		t.Fatal("cold fill built no images: the counter is not wired")
+	}
+	if err := fill.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := openStore(t, dir)
+	mon := &countingMonitor{}
+	before = imageBuilds.Load()
+	for _, id := range IDs() {
+		p := params(warm)
+		p.Monitor = mon
+		res, err := Run(id, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.String() != cold[id] {
+			t.Errorf("%s: warm rerun differs from the cold fill", id)
+		}
+	}
+	if n := imageBuilds.Load() - before; n != 0 {
+		t.Errorf("warm rerun built %d images, want 0", n)
+	}
+	if mon.starts != 0 {
+		t.Errorf("warm rerun started %d cells in the engine, want 0", mon.starts)
+	}
+	if s := warm.Stats(); s.Misses != 0 || s.Hits == 0 {
+		t.Errorf("warm stats = %+v, want hits only", s)
 	}
 }

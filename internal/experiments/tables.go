@@ -7,6 +7,7 @@ import (
 	"retstack/internal/config"
 	"retstack/internal/core"
 	"retstack/internal/emu"
+	"retstack/internal/program"
 	"retstack/internal/stats"
 	"retstack/internal/workloads"
 )
@@ -36,37 +37,34 @@ func runT2(p Params) (*Result, error) {
 	// One cell per workload: the functional characterization run plus the
 	// baseline timing simulation. Both run the same prebuilt image — the
 	// functional machine copies code pages on write, so sharing is safe.
-	ims, err := p.imagesFor(len(ws), func(i int) workloads.Workload { return ws[i] })
-	if err != nil {
-		return nil, err
-	}
 	rec := p.newRecyclers()
-	cells, err := runCells(p, len(ws), func(ctx context.Context, worker, i int) (out cellOut, err error) {
-		p.doCell(ctx, i, func() {
-			w := ws[i]
-			m := emu.NewMachine()
-			m.Load(ims[w.Name])
-			if _, err2 := m.Run(p.InstBudget); err2 != nil {
-				err = fmt.Errorf("%s: %w", w.Name, err2)
-				return
-			}
-			sim, err2 := simulateCell(i, w, ims[w.Name],
-				config.Baseline().WithPolicy(core.RepairTOSPointerAndContents), p, rec.of(worker))
-			if err2 != nil {
-				err = err2
-				return
-			}
-			out = cellOut{Sim: sim.Stats(), Profile: &workloadProfile{
-				Insts:    m.InstCount,
-				Calls:    m.Calls,
-				Returns:  m.Returns,
-				SumDepth: m.SumDepth,
-				MaxDepth: m.MaxDepth,
-				P95Depth: m.DepthHist.Percentile(95),
-			}}
+	cells, err := runCells(p, len(ws), func(i int) workloads.Workload { return ws[i] },
+		func(ctx context.Context, worker, i int, im *program.Image) (out cellOut, err error) {
+			p.doCell(ctx, i, func() {
+				w := ws[i]
+				m := emu.NewMachine()
+				m.Load(im)
+				if _, err2 := m.Run(p.InstBudget); err2 != nil {
+					err = fmt.Errorf("%s: %w", w.Name, err2)
+					return
+				}
+				sim, err2 := simulateCell(i, w, im,
+					config.Baseline().WithPolicy(core.RepairTOSPointerAndContents), p, rec.of(worker))
+				if err2 != nil {
+					err = err2
+					return
+				}
+				out = cellOut{Sim: sim.Stats(), Profile: &workloadProfile{
+					Insts:    m.InstCount,
+					Calls:    m.Calls,
+					Returns:  m.Returns,
+					SumDepth: m.SumDepth,
+					MaxDepth: m.MaxDepth,
+					P95Depth: m.DepthHist.Percentile(95),
+				}}
+			})
+			return out, err
 		})
-		return out, err
-	})
 	if err != nil {
 		return nil, err
 	}

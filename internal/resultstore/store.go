@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -85,7 +86,7 @@ const (
 )
 
 // Provenance stamps where a stored result came from. It rides on the
-// record (and back out of Get), never inside the payload, so payload bytes
+// record (and back out of Prov), never inside the payload, so payload bytes
 // stay a pure function of the key.
 type Provenance struct {
 	// Tool is the producing command ("rasbench", "rasserve").
@@ -146,7 +147,6 @@ type Observer struct {
 type flight struct {
 	done    chan struct{}
 	payload []byte
-	prov    Provenance
 	err     error
 }
 
@@ -302,8 +302,9 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Get returns the payload and provenance stored under key.
-func (s *Store) Get(key string) ([]byte, Provenance, bool) {
+// Get returns the payload stored under key. The payload may share memory
+// with the store's index: callers must not modify it.
+func (s *Store) Get(key string) ([]byte, bool) {
 	start := time.Now()
 	s.mu.Lock()
 	e, ok := s.index[key]
@@ -316,12 +317,12 @@ func (s *Store) Get(key string) ([]byte, Provenance, bool) {
 	if s.obs.OnGet != nil {
 		s.obs.OnGet(ok, time.Since(start).Seconds())
 	}
-	return e.payload, e.prov, ok
+	return e.payload, ok
 }
 
 // Prov returns the provenance stamp stored under key without counting a
 // lookup — for observers (rasserve's cell_cached events) that annotate a
-// hit the sweep already counted.
+// hit the sweep already counted. It is the only reader of provenance.
 func (s *Store) Prov(key string) (Provenance, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -438,19 +439,20 @@ func (o Outcome) String() string {
 // count looks at the index again instead of computing the key a second
 // time. The check costs no extra lock, which matters because the index
 // lock is held through a Put's fsync.
-func (s *Store) Do(ctx context.Context, key string, compute func() ([]byte, Provenance, error)) ([]byte, Provenance, Outcome, error) {
+func (s *Store) Do(ctx context.Context, key string, compute func() ([]byte, Provenance, error)) ([]byte, Outcome, error) {
 	sh := s.flightShardFor(key)
 	for {
 		ended := sh.ended.Load()
+		start := time.Now()
 		s.mu.Lock()
 		e, ok := s.index[key]
 		s.mu.Unlock()
 		if ok {
 			s.hits.Add(1)
 			if s.obs.OnGet != nil {
-				s.obs.OnGet(true, 0)
+				s.obs.OnGet(true, time.Since(start).Seconds())
 			}
-			return e.payload, e.prov, Hit, nil
+			return e.payload, Hit, nil
 		}
 		sh.mu.Lock()
 		if f, ok := sh.m[key]; ok {
@@ -458,13 +460,13 @@ func (s *Store) Do(ctx context.Context, key string, compute func() ([]byte, Prov
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, Provenance{}, SharedFlight, ctx.Err()
+				return nil, SharedFlight, ctx.Err()
 			}
 			if f.err != nil {
 				// The leader failed — possibly just its own cancellation.
 				// Retry (becoming the new leader) rather than adopt it.
 				if err := ctx.Err(); err != nil {
-					return nil, Provenance{}, SharedFlight, err
+					return nil, SharedFlight, err
 				}
 				continue
 			}
@@ -472,7 +474,7 @@ func (s *Store) Do(ctx context.Context, key string, compute func() ([]byte, Prov
 			if s.obs.OnShared != nil {
 				s.obs.OnShared()
 			}
-			return f.payload, f.prov, SharedFlight, nil
+			return f.payload, SharedFlight, nil
 		}
 		if sh.ended.Load() != ended {
 			// A flight in this shard ended since the index check; if it
@@ -484,7 +486,7 @@ func (s *Store) Do(ctx context.Context, key string, compute func() ([]byte, Prov
 		sh.m[key] = f
 		sh.mu.Unlock()
 		s.lead(key, f, compute)
-		return f.payload, f.prov, Computed, f.err
+		return f.payload, Computed, f.err
 	}
 }
 
@@ -502,9 +504,10 @@ func (s *Store) lead(key string, f *flight, compute func() ([]byte, Provenance, 
 		}
 		s.endFlight(key, f)
 	}()
-	f.payload, f.prov, f.err = compute()
+	var prov Provenance
+	f.payload, prov, f.err = compute()
 	if f.err == nil {
-		if err := s.Put(key, f.payload, f.prov); err != nil {
+		if err := s.Put(key, f.payload, prov); err != nil {
 			f.err = err
 		}
 	}
@@ -630,6 +633,13 @@ func listSegments(dir string) ([]int, error) {
 // valid prefix is kept. The second result is that prefix's length in
 // bytes. (This is the journal format's recovery contract, extended with
 // the per-record checksum.)
+//
+// Each line is validated once with json.Valid. A line in the exact layout
+// Put writes is then picked apart by parseCanonical without a second
+// decoding pass; any other valid line goes through json.Unmarshal. Either
+// way the record must carry a key and a payload whose CRC matches.
+// A canonical line's payload aliases data rather than copying it, so the
+// index pins each segment's buffer while any of its records is resident.
 func parseSegment(data []byte) ([]record, int) {
 	var recs []record
 	consumed := 0
@@ -638,15 +648,21 @@ func parseSegment(data []byte) ([]record, int) {
 		if nl < 0 {
 			break // a crash truncated this line
 		}
-		line := data[:nl]
+		line := data[:nl:nl]
 		data = data[nl+1:]
 		if len(bytes.TrimSpace(line)) == 0 {
 			consumed += nl + 1
 			continue
 		}
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if !json.Valid(line) {
 			break
+		}
+		rec, ok := parseCanonical(line)
+		if !ok {
+			rec = record{}
+			if err := json.Unmarshal(line, &rec); err != nil {
+				break
+			}
 		}
 		if rec.Key == "" || rec.Payload == nil || crc32.ChecksumIEEE(rec.Payload) != rec.CRC {
 			break
@@ -655,6 +671,163 @@ func parseSegment(data []byte) ([]record, int) {
 		consumed += nl + 1
 	}
 	return recs, consumed
+}
+
+// parseCanonical extracts a record from a line json.Valid accepted, when
+// the line has the exact layout json.Marshal(record) produces:
+//
+//	{"key":"K","crc":N,"prov":{...},"payload":{...}}
+//
+// with "prov" optional, the key and every provenance string plain
+// printable ASCII (no escapes), and the payload an object. It reports
+// false for anything else, and the caller falls back to json.Unmarshal.
+// On a line it accepts, it returns exactly what json.Unmarshal would,
+// with the payload sliced from line instead of copied.
+func parseCanonical(line []byte) (record, bool) {
+	b, ok := bytes.CutPrefix(line, []byte(`{"key":`))
+	if !ok {
+		return record{}, false
+	}
+	key, b, ok := plainString(b)
+	if !ok {
+		return record{}, false
+	}
+	// json.Unmarshal refuses a signed crc, "-0" included.
+	if b, ok = bytes.CutPrefix(b, []byte(`,"crc":`)); !ok || len(b) == 0 || b[0] == '-' {
+		return record{}, false
+	}
+	crc, b, ok := plainInt(b)
+	if !ok || crc > math.MaxUint32 {
+		return record{}, false
+	}
+	var prov *Provenance
+	if rest, ok := bytes.CutPrefix(b, []byte(`,"prov":`)); ok {
+		var pv Provenance
+		if pv, b, ok = parseProv(rest); !ok {
+			return record{}, false
+		}
+		prov = &pv
+	}
+	if b, ok = bytes.CutPrefix(b, []byte(`,"payload":`)); !ok {
+		return record{}, false
+	}
+	end := objectEnd(b) + 1
+	if end == 0 || len(b) != end+1 || b[end] != '}' {
+		return record{}, false
+	}
+	return record{Key: string(key), CRC: uint32(crc), Prov: prov, Payload: b[:end:end]}, true
+}
+
+// parseProv parses the provenance object at the start of b in the layout
+// json.Marshal(Provenance) produces — the non-empty fields in declaration
+// order — and returns the bytes after it.
+func parseProv(b []byte) (Provenance, []byte, bool) {
+	var pv Provenance
+	b, ok := bytes.CutPrefix(b, []byte("{"))
+	if !ok {
+		return pv, nil, false
+	}
+	sep := ""
+	member := func(name string) bool {
+		rest, ok := bytes.CutPrefix(b, []byte(sep+`"`+name+`":`))
+		if ok {
+			b, sep = rest, ","
+		}
+		return ok
+	}
+	for _, f := range [...]struct {
+		name string
+		dst  *string
+	}{{"tool", &pv.Tool}, {"time", &pv.Time}, {"scope", &pv.Scope}, {"exp", &pv.Exp}} {
+		if !member(f.name) {
+			continue
+		}
+		var v []byte
+		if v, b, ok = plainString(b); !ok {
+			return pv, nil, false
+		}
+		*f.dst = string(v)
+	}
+	if member("cell") {
+		var cell int64
+		if cell, b, ok = plainInt(b); !ok || int64(int(cell)) != cell {
+			return pv, nil, false
+		}
+		pv.Cell = int(cell)
+	}
+	b, ok = bytes.CutPrefix(b, []byte("}"))
+	return pv, b, ok
+}
+
+// plainString returns the contents of the JSON string at the start of b
+// and the bytes after it, when the contents are printable ASCII without
+// escapes — exactly the strings whose decoded value is their raw bytes.
+func plainString(b []byte) ([]byte, []byte, bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return nil, nil, false
+	}
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return b[1:i], b[i+1:], true
+		case c < 0x20 || c == '\\' || c >= 0x7f:
+			return nil, nil, false
+		}
+	}
+	return nil, nil, false
+}
+
+// plainInt parses the JSON integer at the start of b — an optional minus
+// sign and at most 18 digits, so it cannot overflow — and returns the
+// bytes after it. A fraction or exponent leaves the next byte something a
+// canonical line never has there, so the caller's layout check rejects
+// it.
+func plainInt(b []byte) (int64, []byte, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	i := 0
+	if neg {
+		i = 1
+	}
+	var v int64
+	start := i
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		v = v*10 + int64(b[i]-'0')
+	}
+	if i == start || i-start > 18 {
+		return 0, nil, false
+	}
+	if neg {
+		v = -v
+	}
+	return v, b[i:], true
+}
+
+// objectEnd returns the index of the brace that closes the JSON object at
+// the start of b, or -1 when b does not start with one. b must lie inside
+// a json.Valid document, which is what lets it skip strings and count
+// brackets without checking anything else.
+func objectEnd(b []byte) int {
+	if len(b) == 0 || b[0] != '{' {
+		return -1
+	}
+	depth := 0
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i
+			}
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		}
+	}
+	return -1
 }
 
 func provOf(r record) Provenance {
@@ -672,17 +845,32 @@ func provOf(r record) Provenance {
 // instead) and the observational/A-B knobs (parallelism, telemetry,
 // -no-predecode and friends), which are pinned byte-identical elsewhere.
 func Scope(config string, instBudget, warmup uint64, workloads []string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "config:%s\ninsts:%d\nwarmup:%d\nworkloads:%s\n",
-		config, instBudget, warmup, strings.Join(workloads, ","))
-	return hex.EncodeToString(h.Sum(nil))
+	b := make([]byte, 0, 64+len(config))
+	b = append(append(b, "config:"...), config...)
+	b = strconv.AppendUint(append(b, "\ninsts:"...), instBudget, 10)
+	b = strconv.AppendUint(append(b, "\nwarmup:"...), warmup, 10)
+	b = append(b, "\nworkloads:"...)
+	for i, w := range workloads {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, w...)
+	}
+	return hashHex(append(b, '\n'))
 }
 
 // CellKey is the content address of one sweep cell: the scope hash plus
 // the experiment id and the cell's index within that experiment's
 // deterministic cell enumeration.
 func CellKey(scope, exp string, cell int) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%d", scope, exp, cell)
-	return hex.EncodeToString(h.Sum(nil))
+	b := make([]byte, 0, 96)
+	b = append(append(append(b, scope...), 0), exp...)
+	b = strconv.AppendInt(append(b, 0), int64(cell), 10)
+	return hashHex(b)
+}
+
+// hashHex is the lowercase hex sha256 of b.
+func hashHex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

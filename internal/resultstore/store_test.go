@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,27 +30,27 @@ func TestRoundTrip(t *testing.T) {
 	s := mustOpen(t, dir)
 	key := CellKey("scope", "t3", 7)
 	payload := []byte(`{"stats":{"Cycles":1200,"Committed":1000}}`)
-	if _, _, ok := s.Get(key); ok {
+	if _, ok := s.Get(key); ok {
 		t.Fatal("empty store reported a hit")
 	}
 	if err := s.Put(key, payload, Provenance{Scope: "scope", Exp: "t3", Cell: 7}); err != nil {
 		t.Fatal(err)
 	}
-	got, prov, ok := s.Get(key)
+	got, ok := s.Get(key)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("Get = %q, %v; want stored payload", got, ok)
 	}
-	if prov.Exp != "t3" || prov.Cell != 7 || prov.Time == "" || prov.Tool == "" {
+	if prov, _ := s.Prov(key); prov.Exp != "t3" || prov.Cell != 7 || prov.Time == "" || prov.Tool == "" {
 		t.Fatalf("provenance not stamped: %+v", prov)
 	}
 
 	// A fresh Open must see the same record, provenance included.
 	s2 := mustOpen(t, dir)
-	got, prov, ok = s2.Get(key)
+	got, ok = s2.Get(key)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("reopened Get = %q, %v; want stored payload", got, ok)
 	}
-	if prov.Exp != "t3" || prov.Cell != 7 {
+	if prov, _ := s2.Prov(key); prov.Exp != "t3" || prov.Cell != 7 {
 		t.Fatalf("reopened provenance lost: %+v", prov)
 	}
 	st := s2.Stats()
@@ -71,7 +72,7 @@ func TestLatestRecordWins(t *testing.T) {
 		}
 	}
 	for _, st := range []*Store{s, mustOpen(t, dir)} {
-		got, _, ok := st.Get(key)
+		got, ok := st.Get(key)
 		if !ok || string(got) != `{"v":2}` {
 			t.Fatalf("Get = %q, %v; want latest record", got, ok)
 		}
@@ -102,10 +103,10 @@ func TestTornTailRecoveredAndTruncated(t *testing.T) {
 	f.Close()
 
 	s2 := mustOpen(t, dir)
-	if _, _, ok := s2.Get(k0); !ok {
+	if _, ok := s2.Get(k0); !ok {
 		t.Fatal("cell 0 lost to a torn tail")
 	}
-	if _, _, ok := s2.Get(k1); !ok {
+	if _, ok := s2.Get(k1); !ok {
 		t.Fatal("cell 1 lost to a torn tail")
 	}
 	if st := s2.Stats(); st.Recovered != 2 || st.DroppedBytes == 0 {
@@ -119,7 +120,7 @@ func TestTornTailRecoveredAndTruncated(t *testing.T) {
 	}
 	s3 := mustOpen(t, dir)
 	for _, k := range []string{k0, k1, k2} {
-		if _, _, ok := s3.Get(k); !ok {
+		if _, ok := s3.Get(k); !ok {
 			t.Fatalf("key %s lost after torn-tail recovery + append", k[:8])
 		}
 	}
@@ -154,10 +155,10 @@ func TestCorruptRecordStopsAtPrefix(t *testing.T) {
 	}
 
 	s2 := mustOpen(t, dir)
-	if _, _, ok := s2.Get(k0); !ok {
+	if _, ok := s2.Get(k0); !ok {
 		t.Fatal("valid prefix record lost")
 	}
-	if _, _, ok := s2.Get(k1); ok {
+	if _, ok := s2.Get(k1); ok {
 		t.Fatal("CRC-corrupt record served as a hit")
 	}
 }
@@ -189,17 +190,17 @@ func TestSegmentRotationAndTrim(t *testing.T) {
 		t.Fatal("Trim removed nothing")
 	}
 	// Early keys are evicted with their segments; the newest survive.
-	if _, _, ok := s.Get(CellKey("s", "t3", 0)); ok {
+	if _, ok := s.Get(CellKey("s", "t3", 0)); ok {
 		t.Fatal("oldest key survived Trim")
 	}
-	if _, _, ok := s.Get(CellKey("s", "t3", n-1)); !ok {
+	if _, ok := s.Get(CellKey("s", "t3", n-1)); !ok {
 		t.Fatal("newest key evicted by Trim")
 	}
 	// Evicted keys re-fill transparently.
 	if err := s.Put(CellKey("s", "t3", 0), payload, Provenance{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Get(CellKey("s", "t3", 0)); !ok {
+	if _, ok := s.Get(CellKey("s", "t3", 0)); !ok {
 		t.Fatal("re-filled key missing")
 	}
 }
@@ -222,7 +223,7 @@ func TestDoSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			payload, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
+			payload, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
 				computes.Add(1)
 				release.Wait() // hold the flight open until every caller is in
 				return []byte(`{"v":42}`), Provenance{}, nil
@@ -266,7 +267,7 @@ func TestDoSingleflight(t *testing.T) {
 	}
 
 	// The key is now resident: another Do is a pure hit.
-	_, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
+	_, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
 		t.Fatal("compute ran for a resident key")
 		return nil, Provenance{}, nil
 	})
@@ -279,16 +280,16 @@ func TestDoComputeErrorStoresNothing(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	key := CellKey("s", "t3", 0)
 	wantErr := fmt.Errorf("boom")
-	if _, _, _, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
+	if _, _, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
 		return nil, Provenance{}, wantErr
 	}); err != wantErr {
 		t.Fatalf("Do error = %v, want %v", err, wantErr)
 	}
-	if _, _, ok := s.Get(key); ok {
+	if _, ok := s.Get(key); ok {
 		t.Fatal("failed compute left a record behind")
 	}
 	// The key stays computable after a failure.
-	if _, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
+	if _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
 		return []byte(`{"v":1}`), Provenance{}, nil
 	}); err != nil || outcome != Computed {
 		t.Fatalf("retry after failed compute = %v, %v", outcome, err)
@@ -319,7 +320,7 @@ func TestDoPanicUnregistersFlight(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
+		if _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
 			return []byte(`{"v":1}`), Provenance{}, nil
 		}); err != nil || outcome != Computed {
 			t.Errorf("Do after panic = %v, %v; want a fresh Computed", outcome, err)
@@ -348,7 +349,7 @@ func TestDoWaiterHonorsOwnContext(t *testing.T) {
 	<-computing
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, _, _, err := s.Do(ctx, key, func() ([]byte, Provenance, error) {
+	_, _, err := s.Do(ctx, key, func() ([]byte, Provenance, error) {
 		t.Error("waiter ran compute while the leader's flight was open")
 		return nil, Provenance{}, nil
 	})
@@ -375,7 +376,7 @@ func TestDoWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	waited := make(chan struct{})
 	go func() {
 		defer close(waited)
-		payload, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
+		payload, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
 			return []byte(`{"v":2}`), Provenance{}, nil
 		})
 		if err != nil || outcome != Computed || string(payload) != `{"v":2}` {
@@ -390,14 +391,19 @@ func TestDoWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	}
 }
 
+// TestObserverCallbacks: every lookup reaches OnGet with its outcome and
+// latency — Get's and a Do that finds its key resident alike — and every
+// append reaches OnPut.
 func TestObserverCallbacks(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	var gets, hits, puts atomic.Int64
+	var lastHit atomic.Int64 // nanoseconds of the latest hit's latency
 	s.SetObserver(Observer{
 		OnGet: func(hit bool, seconds float64) {
 			gets.Add(1)
 			if hit {
 				hits.Add(1)
+				lastHit.Store(int64(seconds * 1e9))
 			}
 			if seconds < 0 {
 				t.Error("negative get latency")
@@ -414,13 +420,44 @@ func TestObserverCallbacks(t *testing.T) {
 	if gets.Load() != 2 || hits.Load() != 1 || puts.Load() != 1 {
 		t.Fatalf("observer saw gets=%d hits=%d puts=%d", gets.Load(), hits.Load(), puts.Load())
 	}
+
+	// A Do on the resident key is a timed hit. Holding the index lock
+	// while it starts makes its lookup take measurably long.
+	s.mu.Lock()
+	done := make(chan Outcome)
+	start := time.Now()
+	go func() {
+		_, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
+			t.Error("compute ran for a resident key")
+			return nil, Provenance{}, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- outcome
+	}()
+	time.Sleep(10 * time.Millisecond)
+	s.mu.Unlock()
+	if o := <-done; o != Hit {
+		t.Fatalf("Do outcome = %v, want hit", o)
+	}
+	elapsed := time.Since(start)
+	if gets.Load() != 3 || hits.Load() != 2 || puts.Load() != 1 {
+		t.Fatalf("after Do hit observer saw gets=%d hits=%d puts=%d", gets.Load(), hits.Load(), puts.Load())
+	}
+	if d := time.Duration(lastHit.Load()); d <= 0 || d > elapsed {
+		t.Fatalf("Do hit latency = %v, want in (0, %v]", d, elapsed)
+	}
 }
 
+// TestScopeAndCellKeyAreStable: the content addresses are sha256 hex
+// that separate every input, and they are pinned to known answers —
+// every record on disk is filed under these hashes, so any change to how
+// they are derived would silently orphan every existing store.
 func TestScopeAndCellKeyAreStable(t *testing.T) {
 	a := Scope("cfg", 60000, 0, []string{"go", "li"})
-	b := Scope("cfg", 60000, 0, []string{"go", "li"})
-	if a != b || len(a) != 64 {
-		t.Fatalf("Scope unstable or not sha256 hex: %q vs %q", a, b)
+	if len(a) != 64 {
+		t.Fatalf("Scope is not sha256 hex: %q", a)
 	}
 	if Scope("cfg", 60000, 0, []string{"go"}) == a {
 		t.Fatal("workload set not part of the scope")
@@ -430,6 +467,20 @@ func TestScopeAndCellKeyAreStable(t *testing.T) {
 	}
 	if CellKey(a, "t3", 1) == CellKey(a, "t3", 2) || CellKey(a, "t3", 1) == CellKey(a, "t4", 1) {
 		t.Fatal("cell keys collide across cells or experiments")
+	}
+	spec := []string{"compress", "gcc", "go", "ijpeg", "li", "m88ksim", "perl", "vortex"}
+	for _, c := range []struct{ name, got, want string }{
+		{"Scope(cfg)", a, "ae0dbf99769675835ef6e09132686a3dcffbee05a89cba8ed73b806ce6cef5a7"},
+		{"Scope(empty)", Scope("", 0, 0, nil), "1d0babe27265a1188483e7220e21afdd36b77aa6dee5e203f6f388b5df2997c6"},
+		{"Scope(multi-line)", Scope("baseline: 4-wide\nRUU 64", 250000, 1000, spec), "67f3c735af678a1059525ebc02b3288afc38d88e8d66bcb8d5295313c02f413c"},
+		{"CellKey(t3,0)", CellKey(a, "t3", 0), "3e3efeae7576da5f18b0babfccfe00c3aa1464353385d5a126387dc61e356cae"},
+		{"CellKey(a7,15)", CellKey(a, "a7", 15), "c4308349004dba2fcbf8489d5f02a81900df1b38909f9013138a59f268967200"},
+		{"CellKey(empty,-1)", CellKey("", "", -1), "05b54c889ce5912bbcc28ff985013037d08bc6249f09c7a1e554d3aeb3ee2c4b"},
+		{"CellKey(large)", CellKey("s", "t3", 123456789), "2e5d0baae49f5fb43b9c47cab2226d363461b75446e20a6a2f6425f374448a2f"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -441,7 +492,7 @@ func TestPayloadIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[5] = '9' // caller reuses its buffer
-	got, _, _ := s.Get(key)
+	got, _ := s.Get(key)
 	var v struct{ V int }
 	if err := json.Unmarshal(got, &v); err != nil || v.V != 1 {
 		t.Fatalf("stored payload aliased the caller's buffer: %q", got)
@@ -492,7 +543,7 @@ func TestDoPutFaultStillReturnsComputedResult(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	s.SetPutFault(func() error { return fmt.Errorf("no space left on device") })
 	key := CellKey("s", "t3", 0)
-	_, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
+	_, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
 		return []byte(`{"v":1}`), Provenance{}, nil
 	})
 	if !IsIO(err) || outcome != Computed {
@@ -501,7 +552,7 @@ func TestDoPutFaultStillReturnsComputedResult(t *testing.T) {
 	// The failed flight must be unregistered: a retry with the fault
 	// cleared computes fresh and persists.
 	s.SetPutFault(nil)
-	payload, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
+	payload, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
 		return []byte(`{"v":2}`), Provenance{}, nil
 	})
 	if err != nil || outcome != Computed || string(payload) != `{"v":2}` {
@@ -563,7 +614,7 @@ func TestTrimConcurrentWithPutGet(t *testing.T) {
 				default:
 				}
 				k := (i*3 + r) % keys
-				got, _, ok := s.Get(CellKey("trim", "t3", k))
+				got, ok := s.Get(CellKey("trim", "t3", k))
 				if ok && !bytes.Equal(got, payloadFor(k)) {
 					putErr.Store(fmt.Errorf("torn record for cell %d: %q", k, got))
 					return
@@ -591,12 +642,57 @@ func TestTrimConcurrentWithPutGet(t *testing.T) {
 				t.Fatalf("trim left corruption: %+v", s2.Stats())
 			}
 			for i := 0; i < keys; i++ {
-				if got, _, ok := s2.Get(CellKey("trim", "t3", i)); ok && !bytes.Equal(got, payloadFor(i)) {
+				if got, ok := s2.Get(CellKey("trim", "t3", i)); ok && !bytes.Equal(got, payloadFor(i)) {
 					t.Fatalf("cell %d torn after reopen: %q", i, got)
 				}
 			}
 			return
 		default:
+		}
+	}
+}
+
+// TestPutLinesAreCanonical: every line Put writes with the provenance a
+// sweep stamps takes parseSegment's single-pass path, not the
+// json.Unmarshal fallback, and yields what the oracle yields. Without
+// this the fast path could silently go dead and only the clock would
+// notice.
+func TestPutLinesAreCanonical(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	s.SetTool("rasbench")
+	scope := Scope("cfg", 60000, 0, []string{"go", "li"})
+	payloads := []string{
+		`{"stats":{"Cycles":1200,"Committed":1000}}`,
+		`{"stats":{"Name":"a\"b}","Hist":[1,[2,{}]]},"profile":{"insts":5}}`,
+		`{}`,
+	}
+	provs := []Provenance{
+		{Scope: scope, Exp: "t3", Cell: 0},
+		{Scope: scope, Exp: "a7", Cell: 15},
+		{Tool: "rasserve", Time: "2026-01-02T03:04:05Z"},
+	}
+	for i := range payloads {
+		if err := s.Put(CellKey(scope, provs[i].Exp, i), []byte(payloads[i]), provs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	if len(lines) != len(payloads) {
+		t.Fatalf("segment holds %d lines, want %d", len(lines), len(payloads))
+	}
+	for i, line := range lines {
+		got, ok := parseCanonical(line)
+		if !ok {
+			t.Fatalf("line %d written by Put is not canonical: %s", i, line)
+		}
+		want, _ := parseSegmentOracle(append(line, '\n'))
+		if len(want) != 1 || !reflect.DeepEqual(got, want[0]) {
+			t.Fatalf("line %d: canonical parse %+v, oracle %+v", i, got, want)
 		}
 	}
 }
