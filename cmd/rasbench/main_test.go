@@ -12,14 +12,13 @@ import (
 	"time"
 
 	"retstack/internal/experiments"
-	"retstack/internal/sweep"
 	"retstack/internal/telemetry"
 )
 
 // TestMain lets the test binary impersonate the rasbench CLI: the e2e
 // tests below re-exec themselves with RASBENCH_MAIN=1 so they can run the
-// real main() — signal handling, journal, exit codes and all — as a child
-// process they are free to kill.
+// real main() — signal handling, result store, exit codes and all — as a
+// child process they are free to kill.
 func TestMain(m *testing.M) {
 	if os.Getenv("RASBENCH_MAIN") == "1" {
 		main()
@@ -37,18 +36,19 @@ func rasbench(t *testing.T, args ...string) *exec.Cmd {
 
 var e2eArgs = []string{"-exp", "all", "-insts", "60000", "-bench", "go,li"}
 
-// TestKillAndResume is the end-to-end resilience contract: a journaled run
-// killed by SIGINT mid-sweep exits cleanly (code 130, manifest flushed),
-// and a -resume run reassembles output byte-identical to an uninterrupted
-// run while recording the resume provenance in its manifest.
+// TestKillAndResume is the end-to-end resilience contract: a run backed
+// by -store and killed by SIGINT mid-sweep exits cleanly (code 130,
+// manifest flushed), and rerunning it with the same -store reassembles
+// output byte-identical to an uninterrupted run, splicing the cells the
+// killed run persisted back in as store hits.
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "run.jsonl")
+	store := filepath.Join(dir, "store")
 
-	// Reference: one clean, uninterrupted run.
+	// Reference: one clean, uninterrupted, uncached run.
 	clean := rasbench(t, e2eArgs...)
 	var cleanOut bytes.Buffer
 	clean.Stdout = &cleanOut
@@ -57,22 +57,19 @@ func TestKillAndResume(t *testing.T) {
 	}
 
 	// Interrupted run: serial (so it is still sweeping when the signal
-	// lands), journaling, killed as soon as one cell is on disk.
+	// lands), killed as soon as one cell is persisted in the store.
 	intMan := filepath.Join(dir, "interrupted.json")
-	inter := rasbench(t, append([]string{"-parallel", "1", "-journal", journal, "-manifest-out", intMan}, e2eArgs...)...)
+	inter := rasbench(t, append([]string{"-parallel", "1", "-store", store, "-manifest-out", intMan}, e2eArgs...)...)
 	var interErr bytes.Buffer
 	inter.Stderr = &interErr
 	if err := inter.Start(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if rep, err := sweep.ReadJournal(journal); err == nil && rep.Total() >= 1 {
-			break
-		}
+	for !storeHoldsRecord(t, store) {
 		if time.Now().After(deadline) {
 			inter.Process.Kill()
-			t.Fatal("no cell journaled within 30s")
+			t.Fatal("no cell persisted in the store within 30s")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -89,25 +86,18 @@ func TestKillAndResume(t *testing.T) {
 	} else if err != nil {
 		t.Fatalf("interrupted run: %v", err)
 	}
-	// err == nil means the run beat the signal; resume still replays it.
+	// err == nil means the run beat the signal; the rerun is then all hits.
 	if interrupted {
-		var m telemetry.Manifest
-		b, err := os.ReadFile(intMan)
-		if err != nil {
-			t.Fatalf("interrupted run flushed no manifest: %v", err)
-		}
-		if err := json.Unmarshal(b, &m); err != nil {
-			t.Fatal(err)
-		}
-		if m.Status != "interrupted" {
+		if m := readManifest(t, intMan); m.Status != "interrupted" {
 			t.Errorf("interrupted manifest status = %q, want interrupted", m.Status)
 		}
 	}
 
-	// Resume: journaled cells splice in; output must match the clean run
-	// byte for byte, and the manifest must chain back to the killed run.
+	// Rerun with the same store: persisted cells splice in; output must
+	// match the clean run byte for byte, and the manifest must count the
+	// spliced cells as store hits.
 	resMan := filepath.Join(dir, "resumed.json")
-	resume := rasbench(t, append([]string{"-resume", journal, "-manifest-out", resMan}, e2eArgs...)...)
+	resume := rasbench(t, append([]string{"-store", store, "-manifest-out", resMan}, e2eArgs...)...)
 	var resumeOut, resumeErrB bytes.Buffer
 	resume.Stdout, resume.Stderr = &resumeOut, &resumeErrB
 	if err := resume.Run(); err != nil {
@@ -117,25 +107,83 @@ func TestKillAndResume(t *testing.T) {
 		t.Errorf("resumed stdout differs from clean run\n--- clean ---\n%s--- resumed ---\n%s",
 			cleanOut.String(), resumeOut.String())
 	}
-	var m telemetry.Manifest
-	b, err := os.ReadFile(resMan)
+	m := readManifest(t, resMan)
+	if m.Status != "completed" {
+		t.Errorf("resumed manifest status = %q, want completed", m.Status)
+	}
+	if m.Store == nil {
+		t.Fatal("resumed manifest has no store record")
+	}
+	if m.Store.Hits < 1 {
+		t.Errorf("resumed run hit %d stored cells, want >= 1", m.Store.Hits)
+	}
+}
+
+// storeHoldsRecord reports whether any segment of the store at dir holds
+// a complete record. Put writes each record as one newline-terminated
+// line and fsyncs it, so a newline marks a record the killed run cannot
+// lose. The files are only read: opening the store here would truncate
+// the live writer's torn tail.
+func storeHoldsRecord(t *testing.T, dir string) bool {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		if b, err := os.ReadFile(seg); err == nil && bytes.IndexByte(b, '\n') >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func readManifest(t *testing.T, path string) telemetry.Manifest {
+	t.Helper()
+	var m telemetry.Manifest
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no manifest flushed: %v", err)
 	}
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Status != "completed" {
-		t.Errorf("resumed manifest status = %q, want completed", m.Status)
+	return m
+}
+
+// TestFlagValidation: flag values rasbench cannot honor are refused up
+// front with an error naming the flag — before any simulation and with
+// nothing on stdout — rather than silently falling back to a default.
+func TestFlagValidation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
 	}
-	if m.Resume == nil {
-		t.Fatal("resumed manifest has no resume record")
-	}
-	if m.Resume.CellsReplayed < 1 {
-		t.Errorf("resume record replayed %d cells, want >= 1", m.Resume.CellsReplayed)
-	}
-	if len(m.Resume.PriorRuns) < 1 {
-		t.Errorf("resume record chains to %d prior runs, want >= 1", len(m.Resume.PriorRuns))
+	run := []string{"-exp", "t3", "-insts", "4000", "-bench", "go"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"format uppercase", []string{"-format", "CSV"}, `-format "CSV"`},
+		{"format unknown", []string{"-format", "json"}, `-format "json"`},
+		{"store-max-bytes without store", []string{"-store-max-bytes", "1024"}, "-store-max-bytes needs -store"},
+		{"store-max-bytes negative", []string{"-store", t.TempDir(), "-store-max-bytes", "-1"}, "-store-max-bytes -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := rasbench(t, append(tc.args, run...)...)
+			var out, errb bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &out, &errb
+			err := cmd.Run()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+				t.Fatalf("exit = %v, want status 1 (stderr: %s)", err, errb.String())
+			}
+			if !strings.Contains(errb.String(), tc.want) {
+				t.Errorf("stderr %q does not name %q", errb.String(), tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("refused run still wrote stdout:\n%s", out.String())
+			}
+		})
 	}
 }
 

@@ -88,7 +88,7 @@ type Params struct {
 
 	// Resilience knobs (the rasbench flags of the same names). Zero values
 	// are the legacy behavior: background context, abort on the first
-	// failing cell, no watchdog, no journal, no replay, no injection.
+	// failing cell, no watchdog, no injection.
 
 	// Ctx cancels the sweep between cells: once done, no new cells are
 	// claimed, in-flight cells drain, and Run returns Ctx.Err().
@@ -110,10 +110,11 @@ type Params struct {
 	// Store, when non-nil, is the content-addressed result cache (the
 	// rasbench -store flag, rasserve's backing store): before a cell
 	// simulates, the store is probed under CellKey(StoreScope, exp, cell)
-	// and a hit is spliced in like a journal replay — no execution, no
-	// monitor callbacks. Misses simulate inside the store's singleflight
-	// (concurrent identical cells collapse into one simulation) and the
-	// result is appended crash-safely before the cell counts as done.
+	// and a hit is spliced in — no execution, no monitor callbacks.
+	// Misses simulate inside the store's singleflight (concurrent
+	// identical cells collapse into one simulation) and the result is
+	// appended crash-safely before the cell counts as done, so rerunning
+	// an interrupted run against the same store resumes it.
 	// Results are byte-identical with the store on, off, cold, or warm
 	// (pinned by TestStoreMatchesUncached); fault injection is refused
 	// because injected cells produce results a clean run must never see.
@@ -137,16 +138,9 @@ type Params struct {
 	// to flip into compute-without-cache degraded mode. Called from
 	// worker goroutines; must be concurrency-safe.
 	OnStoreFault func(error)
-	// Journal, when non-nil, records every completed cell crash-safely
-	// under scope JournalScope+"/"+<experiment id> before the cell counts
-	// as done. Replay holds journaled cells from a previous run to splice
-	// in instead of executing (the -resume flag).
-	Journal      *sweep.Journal
-	JournalScope string
-	Replay       sweep.Replay
 
 	// expID is the experiment id being run, set by Run; it labels the
-	// sweep's pprof profiles (see doCell), journal scopes, and injection
+	// sweep's pprof profiles (see doCell), store keys, and injection
 	// matches.
 	expID string
 	// holes, set by Run, collects the skip-policy failure descriptions the
@@ -295,7 +289,7 @@ type simCell struct {
 // cellOut is one sweep cell's outcome: the simulation statistics (plus,
 // for t2, the functional characterization) — or nothing, the hole a cell
 // skipped under -on-cell-error=skip leaves behind. It is also the unit
-// the crash-safe journal records, so every field must survive a JSON
+// the result store records, so every field must survive a JSON
 // round trip exactly; pipeline.Stats and core.Stats are all-integer
 // structs, which encoding/json preserves digit-for-digit.
 type cellOut struct {
@@ -309,7 +303,7 @@ func (c cellOut) Stats() *pipeline.Stats { return c.Sim }
 
 // workloadProfile is the functional characterization Table 2 derives from
 // the emulator: the counters the table renders, extracted in-cell so a
-// journaled t2 cell replays without re-running the machine.
+// cached t2 cell splices in without re-running the machine.
 type workloadProfile struct {
 	Insts    uint64 `json:"insts"`
 	Calls    uint64 `json:"calls"`
@@ -325,18 +319,17 @@ type workloadProfile struct {
 // adds, per Params:
 //
 //   - cancellation: the sweep stops claiming cells once p.Ctx is done;
-//   - resume: cells journaled by a previous run are spliced in from
-//     p.Replay instead of executing (no execution, no monitor callbacks);
-//   - crash-safety: each completed cell is fsynced to p.Journal before it
-//     counts as done, keyed by scope so a stale journal cannot poison a
-//     run with different parameters;
 //   - fault injection: p.Inject's harness faults fire at the top of each
 //     attempt, so panics/hangs/transients hit exactly the chosen cells;
 //   - failure policy: retry with backoff, or skip — recording the failure
 //     as an explicit hole on the Result.
-//   - caching: with p.Store set, cells resident in the content-addressed
-//     store splice in exactly like replayed cells, and misses simulate
-//     under the store's singleflight before being persisted.
+//   - caching and resume: with p.Store set, cells resident in the
+//     content-addressed store splice in instead of executing (no
+//     execution, no monitor callbacks), and misses simulate under the
+//     store's singleflight and are fsynced to the store before they count
+//     as done — so rerunning an interrupted sweep against the same store
+//     resumes it, and a stale store cannot poison a run with different
+//     parameters because keys fold in p.StoreScope.
 //
 // Spliced cells are resolved first, and images are built only for the
 // workloads of the cells left to run, so a fully warm sweep builds none.
@@ -368,11 +361,7 @@ func runCells(p Params, n int, workload func(i int) workloads.Workload, body fun
 		OnWorkerStats: p.OnWorkerStats,
 		Skip:          func(cell int) bool { return spliced[cell] != nil },
 	}
-	if p.Journal != nil {
-		scope := p.scope()
-		pol.OnSuccess = func(cell int, v any) error { return p.Journal.Append(scope, cell, v) }
-	}
-	out, fails, err := sweep.MapWorkersPolicy(p.ctx(), p.workers(), n, p.Monitor, pol,
+	out, fails, err := sweep.Map(p.ctx(), p.workers(), n, p.Monitor, pol,
 		func(ctx context.Context, worker, i int) (cellOut, error) {
 			if err := p.Inject.Harness(ctx, p.expID, i); err != nil {
 				return cellOut{}, err
@@ -401,40 +390,25 @@ func runCells(p Params, n int, workload func(i int) workloads.Workload, body fun
 }
 
 // splice resolves the cells of an n-cell sweep that need no execution:
-// cells journaled by a previous run (p.Replay) and, with p.Store set,
-// cells resident in the store. spliced[i] is cell i's outcome, nil when
-// the cell must run; keys holds every cell's store key (nil without a
-// store).
+// with p.Store set, the cells resident in the store. spliced[i] is cell
+// i's outcome, nil when the cell must run; keys holds every cell's store
+// key (nil without a store).
 //
 // Store lookups and their decoding fan out across p.workers() on a plain
-// engine — no Monitor, no OnWorkerStats — so hits stay invisible to the
-// sweep's accounting and a warm rerun still reports zero started cells.
+// sweep — no Monitor, zero Policy — so hits stay invisible to the sweep's
+// accounting and a warm rerun still reports zero started cells.
 // OnStoreHit then fires serially, in ascending cell order, on the
 // calling goroutine. An undecodable payload (schema drift across
 // versions) degrades to a miss; the re-simulated result re-Puts and heals
 // the store, since the latest record for a key wins.
 func (p Params) splice(n int) (spliced []*cellOut, keys []string, err error) {
 	spliced = make([]*cellOut, n)
-	scope := p.scope()
-	for i, raw := range p.Replay.Scope(scope) {
-		if i >= n {
-			continue
-		}
-		var c cellOut
-		if err := json.Unmarshal(raw, &c); err != nil {
-			return nil, nil, fmt.Errorf("resume %s cell %d: %w", scope, i, err)
-		}
-		spliced[i] = &c
-	}
 	if p.Store == nil {
 		return spliced, nil, nil
 	}
 	keys = make([]string, n)
-	hits, err := sweep.MapContext(p.ctx(), p.workers(), n, func(_ context.Context, i int) (*cellOut, error) {
+	hits, _, err := sweep.Map(p.ctx(), p.workers(), n, nil, sweep.Policy{}, func(_ context.Context, _, i int) (*cellOut, error) {
 		keys[i] = resultstore.CellKey(p.StoreScope, p.expID, i)
-		if spliced[i] != nil {
-			return nil, nil
-		}
 		raw, ok := p.Store.Get(keys[i])
 		if !ok {
 			return nil, nil
@@ -546,12 +520,6 @@ func (p Params) ctx() context.Context {
 	return context.Background()
 }
 
-// scope is the journal key for this experiment's cells: the caller's
-// scope prefix (rasbench passes the manifest config hash, so only a run
-// with identical result-determining parameters replays) plus the
-// experiment id (cell indices restart at 0 per experiment).
-func (p Params) scope() string { return p.JournalScope + "/" + p.expID }
-
 // doCell runs one sweep cell's body under pprof labels naming the
 // experiment and cell, so CPU/goroutine profiles of a sweep (rasbench
 // -pprof, the live telemetry endpoint) attribute samples to cells.
@@ -583,7 +551,7 @@ func buildImages(p Params, ws []workloads.Workload) (map[string]*program.Image, 
 			distinct = append(distinct, w)
 		}
 	}
-	built, err := sweep.MapContext(p.ctx(), p.workers(), len(distinct), func(_ context.Context, i int) (*program.Image, error) {
+	built, _, err := sweep.Map(p.ctx(), p.workers(), len(distinct), nil, sweep.Policy{}, func(_ context.Context, _, i int) (*program.Image, error) {
 		imageBuilds.Add(1)
 		im, err := buildFor(distinct[i], p)
 		if err != nil {

@@ -3,9 +3,8 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
-	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,84 +27,118 @@ func mustPlan(t *testing.T, spec string, seed uint64) *faultinject.Plan {
 	return p
 }
 
-// TestResumeReplaysJournaledCells is the crash-safe-resume contract: a run
-// that journals every cell can be reassembled byte-identically from the
-// journal alone. The resumed run injects an always-firing panic into every
-// cell, so it fails loudly if any cell actually executes instead of
-// replaying.
-func TestResumeReplaysJournaledCells(t *testing.T) {
-	clean, err := Run("t3", resilParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+// cellLog is a Monitor recording which cells entered the sweep engine
+// and which finished successfully; cancelAfter, if set, fires once the
+// given number of cells has succeeded.
+type cellLog struct {
+	mu          sync.Mutex
+	started     map[int]bool
+	succeeded   map[int]bool
+	cancelAfter int
+	cancel      context.CancelFunc
+}
 
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := sweep.OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj := resilParams()
-	pj.Journal, pj.JournalScope = j, "testhash"
-	if _, err := Run("t3", pj); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+func newCellLog() *cellLog {
+	return &cellLog{started: map[int]bool{}, succeeded: map[int]bool{}}
+}
 
-	rep, err := sweep.ReadJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Total(); got != 8 {
-		t.Fatalf("journal holds %d cells, want 8", got)
-	}
+func (l *cellLog) CellStart(cell, worker int) {
+	l.mu.Lock()
+	l.started[cell] = true
+	l.mu.Unlock()
+}
 
-	var spec []string
-	for cell := 0; cell < 8; cell++ {
-		spec = append(spec, fmt.Sprintf("panic:%dx99", cell))
+func (l *cellLog) CellDone(cell, worker int, d time.Duration, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err == nil {
+		l.succeeded[cell] = true
 	}
-	pr := resilParams()
-	pr.Replay, pr.JournalScope = rep, "testhash"
-	pr.Inject = mustPlan(t, strings.Join(spec, ","), 0)
-	resumed, err := Run("t3", pr)
-	if err != nil {
-		t.Fatalf("resume executed a cell instead of replaying: %v", err)
-	}
-	if resumed.String() != clean.String() {
-		t.Errorf("resumed output differs from a fresh run:\n--- fresh ---\n%s--- resumed ---\n%s",
-			clean, resumed)
+	if l.cancel != nil && len(l.succeeded) == l.cancelAfter {
+		l.cancel()
 	}
 }
 
-// TestStaleJournalIsIgnored: a journal written under a different scope
-// (i.e. different result-determining parameters) must replay nothing.
-func TestStaleJournalIsIgnored(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := sweep.OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj := resilParams()
-	pj.Journal, pj.JournalScope = j, "oldhash"
-	clean, err := Run("t3", pj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
+// TestStoreResumesInterruptedRun is the crash-safe-resume contract: a
+// store-backed run canceled partway persists the cells it finished, and
+// rerunning against the reopened store renders byte-identically to an
+// uncached run. The store refuses fault injection, so the rerun's monitor
+// is what proves the persisted cells were spliced rather than executed:
+// OnStoreHit fires exactly once for each of them, and CellStart fires
+// only for the rest.
+func TestStoreResumesInterruptedRun(t *testing.T) { checkStoreResume(t, "t3") }
 
-	rep, err := sweep.ReadJournal(jpath)
+// TestT2ResumeRoundTrips: t2's stored cells carry both the simulation
+// stats and the functional profile, so a resumed Table 2 is
+// byte-identical too.
+func TestT2ResumeRoundTrips(t *testing.T) { checkStoreResume(t, "t2") }
+
+// checkStoreResume interrupts a store-backed, serial run of exp after
+// half its cells, reruns it against the reopened store, and checks the
+// rerun against an uncached run and against which cells were persisted.
+func checkStoreResume(t *testing.T, exp string) {
+	t.Helper()
+	all := newCellLog()
+	p := resilParams()
+	p.Monitor = all
+	clean, err := Run(exp, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := resilParams()
-	pr.Replay, pr.JournalScope = rep, "newhash"
-	res, err := Run("t3", pr)
+	n := len(all.started)
+	k := n / 2
+	if k < 1 {
+		t.Fatalf("%s swept %d cells; interrupting it partway needs at least 2", exp, n)
+	}
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := newCellLog()
+	first.cancelAfter, first.cancel = k, cancel
+	pi := storeParams(st, "s")
+	pi.Parallel = 1 // the sweep stops claiming right after cell k-1
+	pi.Ctx, pi.Monitor = ctx, first
+	if _, err := Run(exp, pi); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	if len(first.succeeded) != k || st.Len() != k {
+		t.Fatalf("interrupted run finished %d cells and stored %d, want %d of %d",
+			len(first.succeeded), st.Len(), k, n)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second := newCellLog()
+	hits := map[int]int{}
+	var mu sync.Mutex
+	pr := storeParams(openStore(t, dir), "s")
+	pr.Monitor = second
+	pr.OnStoreHit = func(_ string, cell int, _ bool) {
+		mu.Lock()
+		hits[cell]++
+		mu.Unlock()
+	}
+	resumed, err := Run(exp, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.String() != clean.String() {
-		t.Error("fresh run under a new scope does not match (determinism broken)")
+	if resumed.String() != clean.String() {
+		t.Errorf("resumed output differs from an uncached run:\n--- uncached ---\n%s--- resumed ---\n%s",
+			clean, resumed)
+	}
+	for cell := 0; cell < n; cell++ {
+		if first.succeeded[cell] {
+			if hits[cell] != 1 || second.started[cell] {
+				t.Errorf("persisted cell %d: %d store hits, executed %v; want 1 hit, not executed",
+					cell, hits[cell], second.started[cell])
+			}
+		} else if hits[cell] != 0 || !second.started[cell] {
+			t.Errorf("unpersisted cell %d: %d store hits, executed %v; want 0 hits, executed",
+				cell, hits[cell], second.started[cell])
+		}
 	}
 }
 
@@ -238,39 +271,5 @@ func TestCorruptionAbsorbedInSweep(t *testing.T) {
 	hl, _ := hurt.Get("hit", "li", "full")
 	if cl != hl {
 		t.Errorf("uninjected cell changed: %.6f vs %.6f", cl, hl)
-	}
-}
-
-// TestT2ResumeRoundTrips: t2's journaled cells carry both the simulation
-// stats and the functional profile, so a resumed Table 2 is byte-identical.
-func TestT2ResumeRoundTrips(t *testing.T) {
-	clean, err := Run("t2", resilParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := sweep.OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj := resilParams()
-	pj.Journal, pj.JournalScope = j, "h"
-	if _, err := Run("t2", pj); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	rep, err := sweep.ReadJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := resilParams()
-	pr.Replay, pr.JournalScope = rep, "h"
-	pr.Inject = mustPlan(t, "panic:0x99,panic:1x99", 0)
-	resumed, err := Run("t2", pr)
-	if err != nil {
-		t.Fatalf("t2 resume executed a cell: %v", err)
-	}
-	if resumed.String() != clean.String() {
-		t.Errorf("t2 resumed output differs:\n--- fresh ---\n%s--- resumed ---\n%s", clean, resumed)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"retstack/internal/resultstore"
 )
@@ -29,21 +28,6 @@ func openStore(t *testing.T, dir string) *resultstore.Store {
 	t.Cleanup(func() { st.Close() })
 	return st
 }
-
-// countingMonitor counts engine cell starts: a cell that splices from the
-// store never enters the sweep engine, so a fully-warm run must report
-// zero starts — the "zero simulations" half of the cache-smoke contract.
-type countingMonitor struct {
-	mu     sync.Mutex
-	starts int
-}
-
-func (m *countingMonitor) CellStart(cell, worker int) {
-	m.mu.Lock()
-	m.starts++
-	m.mu.Unlock()
-}
-func (m *countingMonitor) CellDone(cell, worker int, d time.Duration, err error) {}
 
 // TestStoreMatchesUncached is the byte-identity pin for the result store,
 // the same contract the -no-blocks/-no-predecode A/B flags carry: an
@@ -71,8 +55,11 @@ func TestStoreMatchesUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A cell that splices from the store never enters the sweep engine,
+	// so a fully-warm run must report zero starts — the "zero
+	// simulations" half of the cache-smoke contract.
 	warm := openStore(t, dir)
-	mon := &countingMonitor{}
+	mon := newCellLog()
 	p := storeParams(warm, "scopeA")
 	p.Monitor = mon
 	res, err = Run("t3", p)
@@ -85,8 +72,8 @@ func TestStoreMatchesUncached(t *testing.T) {
 	if s := warm.Stats(); s.Hits != 8 || s.Misses != 0 || s.Puts != 0 {
 		t.Errorf("warm stats = %+v, want 8 hits, 0 misses, 0 puts", s)
 	}
-	if mon.starts != 0 {
-		t.Errorf("warm run started %d cells in the engine, want 0 (all spliced)", mon.starts)
+	if len(mon.started) != 0 {
+		t.Errorf("warm run started %d cells in the engine, want 0 (all spliced)", len(mon.started))
 	}
 }
 
@@ -300,7 +287,7 @@ func TestWarmRerunBuildsNoImages(t *testing.T) {
 	}
 
 	warm := openStore(t, dir)
-	mon := &countingMonitor{}
+	mon := newCellLog()
 	before = imageBuilds.Load()
 	for _, id := range IDs() {
 		p := params(warm)
@@ -316,8 +303,8 @@ func TestWarmRerunBuildsNoImages(t *testing.T) {
 	if n := imageBuilds.Load() - before; n != 0 {
 		t.Errorf("warm rerun built %d images, want 0", n)
 	}
-	if mon.starts != 0 {
-		t.Errorf("warm rerun started %d cells in the engine, want 0", mon.starts)
+	if len(mon.started) != 0 {
+		t.Errorf("warm rerun started %d cells in the engine, want 0", len(mon.started))
 	}
 	if s := warm.Stats(); s.Misses != 0 || s.Hits == 0 {
 		t.Errorf("warm stats = %+v, want hits only", s)

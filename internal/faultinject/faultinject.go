@@ -15,8 +15,7 @@
 //
 // Everything is deterministic: faults fire by (experiment, cell, attempt)
 // and corruption addresses come from a seeded splitmix sequence keyed by
-// cycle, so an injected run is exactly reproducible — and a journaled cell
-// that was corrupted replays byte-identically.
+// cycle, so an injected run is exactly reproducible.
 //
 // Paper alignment: corrupt faults must never crash a simulation. A
 // corrupted entry either gets repaired by the configured checkpoint

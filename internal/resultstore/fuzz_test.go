@@ -48,8 +48,8 @@ func parseSegmentOracle(data []byte) ([]record, int) {
 // return exactly the records and consumed prefix of the json.Unmarshal
 // oracle, (c) report a consumed prefix that is actually parsable, and
 // (d) leave the store appendable — a Put after recovery must survive the
-// next Open. This is the FuzzJournal contract extended to the store's
-// checksummed format; the committed seed corpus covers the interesting
+// next Open. That is the store's recovery contract (see the package doc)
+// under arbitrary input. The committed seed corpus covers the interesting
 // shapes (valid records in Put's own layout and in others, torn tail, CRC
 // mismatch, non-record JSON, empty lines, escaped or odd provenance).
 func FuzzSegment(f *testing.F) {

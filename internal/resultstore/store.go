@@ -5,16 +5,19 @@
 // two runs — or two users — asking for the same (configuration, budget,
 // workload set, experiment, cell) tuple share one simulation.
 //
-// The on-disk layout extends the crash-safe journal format from the sweep
-// package: a store directory holds append-only segment files
+// On disk, a store directory holds append-only segment files
 // (seg-000001.log, seg-000002.log, …) of JSONL records, each record
 // carrying its payload's CRC32 and a provenance stamp (tool, time, scope).
-// Records are fsynced before Put returns. A process killed mid-append
-// leaves at worst one truncated trailing line, which Open recovers from by
-// keeping the valid prefix — and, for the active segment, truncating the
-// torn tail so later appends stay parsable. Duplicate keys keep the
-// latest record, so a corrupt or schema-drifted entry is healed by simply
-// storing the cell again.
+// Recovery contract: every record is one line, written and fsynced before
+// Put returns, so a process killed at any instant — even by SIGKILL —
+// leaves at worst one torn trailing line. Open keeps each segment's valid
+// prefix (up to the first line that is truncated, unparsable, not a
+// record, or fails its CRC) and truncates the active segment's torn tail
+// so later appends stay parsable. That is what makes rerunning an
+// interrupted sweep against the same store a resume: every cell that
+// completed before the kill is a hit. Duplicate keys keep the latest
+// record, so a corrupt or schema-drifted entry is healed by simply storing
+// the cell again.
 //
 // Segments rotate at a size threshold and are immutable once rotated.
 // Eviction is segment-granular: Trim drops whole oldest segments until
@@ -631,8 +634,7 @@ func listSegments(dir string) ([]int, error) {
 // corrupt tail: parsing stops at the first malformed line — no trailing
 // newline, invalid JSON, a non-record object, or a CRC mismatch — and the
 // valid prefix is kept. The second result is that prefix's length in
-// bytes. (This is the journal format's recovery contract, extended with
-// the per-record checksum.)
+// bytes — the recovery contract described in the package doc.
 //
 // Each line is validated once with json.Valid. A line in the exact layout
 // Put writes is then picked apart by parseCanonical without a second

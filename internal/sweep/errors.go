@@ -121,7 +121,7 @@ func oneLine(s string) string {
 
 // CellFailure is one hole in a skip-policy sweep: the cell that failed and
 // the (CellError-wrapped) reason. Holes are reported, sorted by cell, by
-// MapWorkersPolicy so the caller can render them explicitly instead of
+// Map so the caller can render them explicitly instead of
 // silently dropping rows.
 type CellFailure struct {
 	Cell int

@@ -17,7 +17,7 @@ type OnError uint8
 
 const (
 	// Abort stops claiming new cells and returns the lowest failing
-	// index's error (the legacy behavior, and the zero value).
+	// index's error (the zero value).
 	Abort OnError = iota
 	// Skip records the failure as a CellFailure hole and keeps sweeping.
 	Skip
@@ -68,7 +68,7 @@ func ParseOnError(s string) (OnError, error) {
 }
 
 // Policy configures the engine's failure handling. The zero value is the
-// legacy behavior: no timeout, no retries, abort on the first error.
+// default: no timeout, no retries, abort on the first error.
 type Policy struct {
 	OnError OnError
 
@@ -90,16 +90,9 @@ type Policy struct {
 	CellTimeout time.Duration
 
 	// Skip marks cells to omit entirely — no execution, no monitor
-	// callbacks, zero-value results. Used by resume to splice journaled
-	// cells around the engine.
+	// callbacks, zero-value results. Used to splice in cells the caller
+	// already holds (the experiments layer's result-store hits).
 	Skip func(cell int) bool
-
-	// OnSuccess runs on the worker after a cell's fn succeeds, before the
-	// cell is considered done; an error from it fails the cell. Used to
-	// journal results crash-safely: the engine guarantees it is never
-	// called for an abandoned (timed-out) attempt, so a journal never
-	// records a cell the engine discarded.
-	OnSuccess func(cell int, v any) error
 
 	// OnWorkerStats, if non-nil, receives the engine's per-worker
 	// accounting exactly once, after every worker has drained. The stats
@@ -171,7 +164,7 @@ type RetryMonitor interface {
 	CellRetry(cell, attempt int, err error)
 }
 
-// engine is the shared (non-generic) state of one MapWorkersPolicy run.
+// engine is the shared (non-generic) state of one Map run.
 type engine struct {
 	ctx context.Context
 	m   Monitor
@@ -203,45 +196,31 @@ func (e *engine) hole(i int, err error) {
 	e.mu.Unlock()
 }
 
-// RunContext is Run honoring a context: once ctx is canceled no new cells
-// are claimed (in-flight cells finish), and ctx.Err() is returned when
-// cancellation — rather than a cell — ended the sweep.
-func RunContext(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	_, _, err := MapWorkersPolicy(ctx, workers, n, nil, Policy{},
-		func(ctx context.Context, _, i int) (struct{}, error) { return struct{}{}, fn(ctx, i) })
-	return err
-}
-
-// MapContext is Map honoring a context (see RunContext).
-func MapContext[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	out, _, err := MapWorkersPolicy(ctx, workers, n, nil, Policy{},
-		func(ctx context.Context, _, i int) (T, error) { return fn(ctx, i) })
-	return out, err
-}
-
-// RunWorkersPolicy is MapWorkersPolicy for cells without results.
-func RunWorkersPolicy(ctx context.Context, workers, n int, m Monitor, pol Policy, fn func(ctx context.Context, worker, i int) error) ([]CellFailure, error) {
-	_, fails, err := MapWorkersPolicy(ctx, workers, n, m, pol,
-		func(ctx context.Context, w, i int) (struct{}, error) { return struct{}{}, fn(ctx, w, i) })
-	return fails, err
-}
-
-// MapWorkersPolicy is the engine every sweep entry point runs on: it fans
-// cells [0, n) across at most workers goroutines under a context, a
-// monitor, and a failure policy.
+// Map runs fn for every cell in [0, n) across at most workers goroutines
+// (workers < 1 selects GOMAXPROCS, and the pool never exceeds n) under a
+// context, an optional monitor, and a failure policy, and returns the
+// results in cell order. A nil ctx means context.Background(), a nil
+// monitor observes nothing, and the zero Policy aborts on the first error.
 //
-// The determinism contract of RunWorkersMonitored holds here too: indices
-// are claimed monotonically, each cell writes only its own slot, and an
-// aborting error is the one a serial loop would have hit — the lowest
-// failing index's. Cell failures always surface as *CellError (wrapping
-// the cause: the fn error, a *PanicError, or a *TimeoutError).
+// Determinism contract: cells are claimed in increasing order, each cell
+// writes only its own result slot, and an aborting error is the one a
+// serial loop would have hit — the lowest failing cell's. After a failure
+// no new cells are claimed, but everything already in flight finishes;
+// since claims are monotonic, every cell below the lowest failure has run
+// by then. Cell failures always surface as *CellError wrapping the cause:
+// the fn error, a *PanicError (a panicking cell is recovered on its
+// worker, never killing the process), or a *TimeoutError.
 //
-// Under Policy.Skip == nil and OnError == Abort this is exactly the
-// legacy engine; Skip-policy failures come back as sorted CellFailures
-// with a nil error, and cancellation returns ctx.Err() once every
+// fn receives (ctx, worker, i) with worker in [0, Workers(workers)). A
+// worker runs its cells strictly sequentially, so worker-indexed state
+// (scratch buffers, allocation pools) needs no locking. Results must
+// still depend only on i, never on worker.
+//
+// Skip-policy failures come back as sorted CellFailures with a nil error.
+// Cancellation stops claiming new cells and returns ctx.Err() once every
 // in-flight cell has drained. On a non-nil error the results are
 // discarded (nil slice).
-func MapWorkersPolicy[T any](ctx context.Context, workers, n int, m Monitor, pol Policy, fn func(ctx context.Context, worker, i int) (T, error)) ([]T, []CellFailure, error) {
+func Map[T any](ctx context.Context, workers, n int, m Monitor, pol Policy, fn func(ctx context.Context, worker, i int) (T, error)) ([]T, []CellFailure, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -314,14 +293,9 @@ func runCellPolicy[T any](e *engine, w, i int, start time.Time, slot *T, fn func
 	for attempt := 1; ; attempt++ {
 		v, err := runAttempt(e.ctx, e.pol.CellTimeout, w, i, fn)
 		if err == nil {
-			if e.pol.OnSuccess != nil {
-				err = e.pol.OnSuccess(i, v)
-			}
-			if err == nil {
-				*slot = v
-				finalErr = nil // a retried cell that succeeded is not an error
-				return
-			}
+			*slot = v
+			finalErr = nil // a retried cell that succeeded is not an error
+			return
 		}
 		finalErr = &CellError{Cell: i, Attempt: attempt, Err: err}
 		if e.pol.OnError == Retry && attempt < e.pol.MaxAttempts &&

@@ -29,14 +29,14 @@ func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
 	release := make(chan struct{})
-	err := RunContext(ctx, 2, 10_000, func(ctx context.Context, i int) error {
+	_, _, err := Map(ctx, 2, 10_000, nil, Policy{}, func(ctx context.Context, _, i int) (struct{}, error) {
 		ran.Add(1)
 		if i == 0 {
 			cancel()
 			close(release) // both workers may pass the claim check once more
 		}
 		<-release
-		return nil
+		return struct{}{}, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -48,10 +48,11 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestMapContextResults: the context variant still returns ordered results
-// when nothing goes wrong.
+// TestMapContextResults: a nil context runs under context.Background
+// and returns ordered results; a failing cell discards the results and
+// surfaces as its *CellError wrapping the cause.
 func TestMapContextResults(t *testing.T) {
-	out, err := MapContext(context.Background(), 4, 50, func(_ context.Context, i int) (int, error) {
+	out, _, err := Map(nil, 4, 50, nil, Policy{}, func(_ context.Context, _, i int) (int, error) {
 		return i + 1, nil
 	})
 	if err != nil {
@@ -62,6 +63,21 @@ func TestMapContextResults(t *testing.T) {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
+
+	cause := errors.New("cause")
+	out, _, err = Map(context.Background(), 2, 8, nil, Policy{}, func(_ context.Context, _, i int) (int, error) {
+		if i == 6 {
+			return 0, cause
+		}
+		return i, nil
+	})
+	var ce *CellError
+	if !errors.As(err, &ce) || ce.Cell != 6 || !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want cell 6's *CellError wrapping the cause", err)
+	}
+	if out != nil {
+		t.Errorf("failed sweep returned results %v, want nil", out)
+	}
 }
 
 // TestCellTimeout: a stuck cell is abandoned by the watchdog and surfaces
@@ -70,7 +86,7 @@ func TestMapContextResults(t *testing.T) {
 func TestCellTimeout(t *testing.T) {
 	var unwound atomic.Bool
 	pol := Policy{CellTimeout: 20 * time.Millisecond}
-	_, _, err := MapWorkersPolicy(context.Background(), 2, 4, nil, pol,
+	_, _, err := Map(context.Background(), 2, 4, nil, pol,
 		func(ctx context.Context, _, i int) (int, error) {
 			if i == 2 {
 				<-ctx.Done() // hang until the watchdog cancels us
@@ -114,7 +130,7 @@ func TestRetryTransient(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	out, fails, err := MapWorkersPolicy(context.Background(), 2, len(attempts), nil, pol,
+	out, fails, err := Map(context.Background(), 2, len(attempts), nil, pol,
 		func(_ context.Context, _, i int) (int, error) {
 			if n := attempts[i].Add(1); i == 3 && n < 3 {
 				return 0, fmt.Errorf("transient glitch %d", n)
@@ -142,7 +158,7 @@ func TestRetryTransient(t *testing.T) {
 func TestRetryExhaustionAborts(t *testing.T) {
 	var runs atomic.Int32
 	pol := Policy{OnError: Retry, MaxAttempts: 3, sleep: func(context.Context, time.Duration) {}}
-	_, _, err := MapWorkersPolicy(context.Background(), 1, 2, nil, pol,
+	_, _, err := Map(context.Background(), 1, 2, nil, pol,
 		func(_ context.Context, _, i int) (int, error) {
 			if i == 1 {
 				runs.Add(1)
@@ -169,7 +185,7 @@ func TestRetryRespectsTransient(t *testing.T) {
 		Transient: func(err error) bool { return !errors.Is(err, permanent) },
 		sleep:     func(context.Context, time.Duration) {},
 	}
-	_, _, err := MapWorkersPolicy(context.Background(), 1, 1, nil, pol,
+	_, _, err := Map(context.Background(), 1, 1, nil, pol,
 		func(_ context.Context, _, i int) (int, error) {
 			runs.Add(1)
 			return 0, permanent
@@ -187,7 +203,7 @@ func TestRetryRespectsTransient(t *testing.T) {
 // good results, and reports each failure as a sorted CellFailure.
 func TestSkipPolicyReportsHoles(t *testing.T) {
 	pol := Policy{OnError: Skip}
-	out, fails, err := MapWorkersPolicy(context.Background(), 4, 20, nil, pol,
+	out, fails, err := Map(context.Background(), 4, 20, nil, pol,
 		func(_ context.Context, _, i int) (int, error) {
 			if i == 17 || i == 3 {
 				return 0, fmt.Errorf("bad cell %d", i)
@@ -218,7 +234,7 @@ func TestSkipPolicyReportsHoles(t *testing.T) {
 }
 
 // TestSkipFunc: cells marked by Policy.Skip never execute and produce no
-// monitor callbacks — the resume fast path.
+// monitor callbacks — the store-splice fast path.
 func TestSkipFunc(t *testing.T) {
 	var ran [10]atomic.Int32
 	var starts atomic.Int32
@@ -227,7 +243,7 @@ func TestSkipFunc(t *testing.T) {
 		done:  func(int, int, time.Duration, error) {},
 	}
 	pol := Policy{Skip: func(i int) bool { return i%2 == 0 }}
-	out, _, err := MapWorkersPolicy(context.Background(), 3, len(ran), m, pol,
+	out, _, err := Map(context.Background(), 3, len(ran), m, pol,
 		func(_ context.Context, _, i int) (int, error) {
 			ran[i].Add(1)
 			return i, nil
@@ -249,24 +265,6 @@ func TestSkipFunc(t *testing.T) {
 	}
 	if starts.Load() != 5 {
 		t.Errorf("monitor saw %d starts, want 5 (skipped cells are invisible)", starts.Load())
-	}
-}
-
-// TestOnSuccessFailureFailsCell: an OnSuccess (journaling) error fails the
-// cell like any other error.
-func TestOnSuccessFailureFailsCell(t *testing.T) {
-	sinkErr := errors.New("disk full")
-	pol := Policy{OnSuccess: func(i int, v any) error {
-		if i == 2 {
-			return sinkErr
-		}
-		return nil
-	}}
-	_, _, err := MapWorkersPolicy(context.Background(), 1, 4, nil, pol,
-		func(_ context.Context, _, i int) (int, error) { return i, nil })
-	var ce *CellError
-	if !errors.As(err, &ce) || ce.Cell != 2 || !errors.Is(err, sinkErr) {
-		t.Fatalf("err = %v, want cell 2 wrapping the sink error", err)
 	}
 }
 
@@ -309,7 +307,7 @@ func (c *countingMonitor) CellRetry(cell, attempt int, err error) {
 func TestMonitorExactlyOnceUnderFailure(t *testing.T) {
 	cm := newCountingMonitor()
 	release := make(chan struct{})
-	err := RunWorkersMonitored(3, 100, cm, func(w, i int) error {
+	err := run(3, 100, cm, func(i int) error {
 		switch i {
 		case 4:
 			// Hold two siblings in flight past the failure.
@@ -361,12 +359,12 @@ func TestMonitorExactlyOnceUnderFailure(t *testing.T) {
 func TestMonitorExactlyOnceUnderCancellation(t *testing.T) {
 	cm := newCountingMonitor()
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := RunWorkersPolicy(ctx, 2, 1000, cm, Policy{},
-		func(ctx context.Context, w, i int) error {
+	_, _, err := Map(ctx, 2, 1000, cm, Policy{},
+		func(ctx context.Context, w, i int) (struct{}, error) {
 			if i == 1 {
 				cancel()
 			}
-			return nil
+			return struct{}{}, nil
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
@@ -389,12 +387,12 @@ func TestRetryMonitorSeesAttempts(t *testing.T) {
 	cm := newCountingMonitor()
 	var tries atomic.Int32
 	pol := Policy{OnError: Retry, MaxAttempts: 4, sleep: func(context.Context, time.Duration) {}}
-	_, err := RunWorkersPolicy(context.Background(), 1, 3, cm, pol,
-		func(_ context.Context, _, i int) error {
+	_, _, err := Map(context.Background(), 1, 3, cm, pol,
+		func(_ context.Context, _, i int) (struct{}, error) {
 			if i == 1 && tries.Add(1) < 3 {
-				return errors.New("flaky")
+				return struct{}{}, errors.New("flaky")
 			}
-			return nil
+			return struct{}{}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -409,22 +407,6 @@ func TestRetryMonitorSeesAttempts(t *testing.T) {
 	}
 	if cm.errs[1] != nil {
 		t.Errorf("retried-then-successful cell reported error %v", cm.errs[1])
-	}
-}
-
-// TestLegacyEntryPointsWrapErrors pins the satellite fix: the legacy
-// Run/Map family now reports failures as *CellError too.
-func TestLegacyEntryPointsWrapErrors(t *testing.T) {
-	cause := errors.New("cause")
-	_, err := Map(2, 8, func(i int) (int, error) {
-		if i == 6 {
-			return 0, cause
-		}
-		return i, nil
-	})
-	var ce *CellError
-	if !errors.As(err, &ce) || ce.Cell != 6 || !errors.Is(err, cause) {
-		t.Fatalf("Map error = %v, want cell 6's *CellError wrapping the cause", err)
 	}
 }
 
